@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 
 from _common import BENCH_SEED, Table, mbps
+from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyConfig
 from repro.datasets import generate_bytes
 
@@ -43,7 +44,6 @@ DEFAULT_N_VALUES = 131072  # 1 MiB of float64 -> 64 chunks of 16 KiB
 DEFAULT_CHUNK_BYTES = 16 * 1024
 DEFAULT_SHARD_LEVELS = (1, 2, 4, 8)
 DEFAULT_POINT_READS = 16
-DEFAULT_THRESHOLD = 0.10
 
 _GATED_SUMMARY_METRICS = (
     "pack_scaleup_4_over_1",
@@ -227,29 +227,6 @@ def run_bench(
     }
 
 
-def compare(
-    current: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
-    """Regression messages for gated summary metrics below the floor."""
-    regressions: list[str] = []
-    cur = current.get("summary", {})
-    base = baseline.get("summary", {})
-    for metric in _GATED_SUMMARY_METRICS:
-        if metric not in base or metric not in cur:
-            continue
-        ref = float(base[metric])
-        got = float(cur[metric])
-        if ref <= 0:
-            continue
-        drop = (ref - got) / ref
-        if drop > threshold:
-            regressions.append(
-                f"summary: {metric} regressed {drop:.1%} "
-                f"(baseline {ref:.3f}, current {got:.3f})"
-            )
-    return regressions
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-values", type=int, default=DEFAULT_N_VALUES)
@@ -324,16 +301,12 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(json.dumps(document, indent=2, sort_keys=True))
         print(f"wrote {args.output}")
     if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        regressions = compare(document, baseline, args.threshold)
-        if regressions:
-            for message in regressions:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            if args.check:
-                return 3
-        else:
-            print(f"no regressions vs {args.baseline} "
-                  f"(threshold {args.threshold:.0%})")
+        regressed = check_baseline(
+            document, args.baseline, args.threshold,
+            metrics=_GATED_SUMMARY_METRICS, section="summary",
+        )
+        if regressed and args.check:
+            return 3
     return 0
 
 

@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, mbps
+from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.bytesplit import split_bytes, values_to_byte_matrix
 from repro.core.idmap import IdMapper
 from repro.core.kernels import (
@@ -54,7 +55,6 @@ from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import generate_bytes
 
 SCHEMA_VERSION = 1
-DEFAULT_THRESHOLD = 0.10
 DEFAULT_DATASETS = ("obs_temp", "msg_bt", "num_plasma")
 
 #: Per-dataset metrics gated against the baseline; all bigger-is-better.
@@ -181,32 +181,6 @@ def run_bench(
     }
 
 
-def compare(
-    current: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
-    """Regression messages for gated metrics below the baseline floor."""
-    regressions: list[str] = []
-    base_results = baseline.get("results", {})
-    for name, cur in sorted(current.get("results", {}).items()):
-        base = base_results.get(name)
-        if base is None:
-            continue
-        for metric in _GATED_METRICS:
-            if metric not in base or metric not in cur:
-                continue
-            ref = float(base[metric])
-            got = float(cur[metric])
-            if ref <= 0:
-                continue
-            drop = (ref - got) / ref
-            if drop > threshold:
-                regressions.append(
-                    f"{name}: {metric} regressed {drop:.1%} "
-                    f"(baseline {ref:.3f}, current {got:.3f})"
-                )
-    return regressions
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -264,16 +238,12 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(json.dumps(document, indent=2, sort_keys=True))
         print(f"wrote {args.output}")
     if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        regressions = compare(document, baseline, args.threshold)
-        if regressions:
-            for message in regressions:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            if args.check:
-                return 3
-        else:
-            print(f"no regressions vs {args.baseline} "
-                  f"(threshold {args.threshold:.0%})")
+        regressed = check_baseline(
+            document, args.baseline, args.threshold,
+            metrics=_GATED_METRICS,
+        )
+        if regressed and args.check:
+            return 3
     return 0
 
 

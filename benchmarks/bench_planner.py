@@ -47,13 +47,13 @@ import time
 from pathlib import Path
 
 from _common import BENCH_SEED, Table, geometric_mean
+from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import dataset_names, generate_bytes
 from repro.planner import DEFAULT_CANDIDATES, PlannedCompressor, PlannerConfig
 from repro.planner.planner import overhead_fraction
 
 SCHEMA_VERSION = 1
-DEFAULT_THRESHOLD = 0.10
 DEFAULT_N_VALUES = 131072
 DEFAULT_THETA_MBPS = 4.0
 
@@ -200,29 +200,6 @@ def run_bench(
     }
 
 
-def compare(
-    current: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
-    """Regression messages for gated summary metrics below the floor."""
-    regressions: list[str] = []
-    cur = current.get("summary", {})
-    base = baseline.get("summary", {})
-    for metric in _GATED_SUMMARY_METRICS:
-        if metric not in base or metric not in cur:
-            continue
-        ref = float(base[metric])
-        got = float(cur[metric])
-        if ref <= 0:
-            continue
-        drop = (ref - got) / ref
-        if drop > threshold:
-            regressions.append(
-                f"summary: {metric} regressed {drop:.1%} "
-                f"(baseline {ref:.3f}, current {got:.3f})"
-            )
-    return regressions
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -293,16 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(json.dumps(document, indent=2, sort_keys=True))
         print(f"wrote {args.output}")
     if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        regressions = compare(document, baseline, args.threshold)
-        if regressions:
-            for message in regressions:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            if args.check:
-                return 3
-        else:
-            print(f"no regressions vs {args.baseline} "
-                  f"(threshold {args.threshold:.0%})")
+        regressed = check_baseline(
+            document, args.baseline, args.threshold,
+            metrics=_GATED_SUMMARY_METRICS, section="summary",
+        )
+        if regressed and args.check:
+            return 3
     return 0
 
 

@@ -7,7 +7,9 @@ compares a run against a stored baseline so CI can gate on regressions.
 
 The result dict is plain JSON (written to ``results/BENCH_obs.json`` by
 the CI job); :func:`compare` returns human-readable regression messages
-for every metric that fell more than ``threshold`` below the baseline.
+for every metric that fell more than ``threshold`` below the baseline,
+and :func:`check_baseline` prints them for a ``--check`` gate.  The
+``benchmarks/bench_*.py`` gates share both, naming their own metrics.
 Throughput comparisons are only as stable as the machine they run on,
 so committed baselines should be conservative floors, not hot-cache
 bests; the ratio comparison is fully deterministic.
@@ -15,7 +17,11 @@ bests; the ratio comparison is fully deterministic.
 
 from __future__ import annotations
 
+import json
+import sys
 import time
+from collections.abc import Sequence
+from pathlib import Path
 
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import dataset_names, generate_bytes
@@ -26,6 +32,7 @@ __all__ = [
     "measure_dataset",
     "run_bench",
     "compare",
+    "check_baseline",
 ]
 
 SCHEMA_VERSION = 1
@@ -33,7 +40,8 @@ SCHEMA_VERSION = 1
 #: Relative drop (vs baseline) above which a metric counts as regressed.
 DEFAULT_THRESHOLD = 0.10
 
-#: Metrics compared against a baseline; all are "bigger is better".
+#: Metrics ``primacy bench`` compares against a baseline; all are
+#: "bigger is better".
 _GATED_METRICS = ("compression_ratio", "compress_mbps", "decompress_mbps")
 
 
@@ -128,23 +136,39 @@ def run_bench(
 
 
 def compare(
-    current: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
+    current: dict,
+    baseline: dict,
+    threshold: float = DEFAULT_THRESHOLD,
+    *,
+    metrics: Sequence[str] = _GATED_METRICS,
+    section: str = "results",
 ) -> list[str]:
-    """Regression messages for metrics > ``threshold`` below baseline.
+    """Regression messages for ``metrics`` > ``threshold`` below baseline.
 
-    Only datasets present in both documents are compared, so a baseline
-    can cover a subset (or an old superset) of the current registry.
-    An empty list means the gate passes.
+    Every gated metric is bigger-is-better.  ``section="results"`` gates
+    the per-dataset rows; only datasets present in both documents are
+    compared, so a baseline can cover a subset (or an old superset) of
+    the current registry.  ``section="summary"`` gates the document's
+    flat ``summary`` dict as one row named ``summary``.  Metrics missing
+    from either side, or with a non-positive baseline, are skipped.  An
+    empty list means the gate passes.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
+    if section == "results":
+        cur_rows = current.get("results", {})
+        base_rows = baseline.get("results", {})
+    elif section == "summary":
+        cur_rows = {"summary": current.get("summary", {})}
+        base_rows = {"summary": baseline.get("summary", {})}
+    else:
+        raise ValueError("section must be 'results' or 'summary'")
     regressions: list[str] = []
-    base_results = baseline.get("results", {})
-    for name, cur in sorted(current.get("results", {}).items()):
-        base = base_results.get(name)
+    for name, cur in sorted(cur_rows.items()):
+        base = base_rows.get(name)
         if base is None:
             continue
-        for metric in _GATED_METRICS:
+        for metric in metrics:
             if metric not in base or metric not in cur:
                 continue
             ref = float(base[metric])
@@ -158,3 +182,28 @@ def compare(
                     f"(baseline {ref:.3f}, current {got:.3f})"
                 )
     return regressions
+
+
+def check_baseline(
+    document: dict,
+    baseline_path: Path,
+    threshold: float = DEFAULT_THRESHOLD,
+    *,
+    metrics: Sequence[str] = _GATED_METRICS,
+    section: str = "results",
+) -> bool:
+    """Gate ``document`` against the baseline file and print the verdict.
+
+    Each regression goes to stderr as ``REGRESSION <message>``; a clean
+    run prints one ``no regressions`` line.  Returns whether anything
+    regressed -- the ``--check`` gates exit 3 on it.
+    """
+    baseline = json.loads(baseline_path.read_text())
+    regressions = compare(
+        document, baseline, threshold, metrics=metrics, section=section
+    )
+    for message in regressions:
+        print(f"REGRESSION {message}", file=sys.stderr)
+    if not regressions:
+        print(f"no regressions vs {baseline_path} (threshold {threshold:.0%})")
+    return bool(regressions)

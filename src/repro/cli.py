@@ -1164,7 +1164,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.benchmark import compare, run_bench
+    from repro.benchmark import check_baseline, run_bench
 
     if args.check and args.baseline is None:
         print("error: --check requires --baseline", file=sys.stderr)
@@ -1194,16 +1194,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         args.output.write_text(json.dumps(document, indent=2, sort_keys=True))
         print(f"wrote {args.output}")
     if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        regressions = compare(document, baseline, args.threshold)
-        if regressions:
-            for message in regressions:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            if args.check:
-                return EXIT_BENCH_REGRESSION
-        else:
-            print(f"no regressions vs {args.baseline} "
-                  f"(threshold {args.threshold:.0%})")
+        regressed = check_baseline(document, args.baseline, args.threshold)
+        if regressed and args.check:
+            return EXIT_BENCH_REGRESSION
     return EXIT_OK
 
 

@@ -177,8 +177,8 @@ def _rle0_decode(symbols: np.ndarray) -> np.ndarray:
 # Entropy-kernel backend -> per-stage implementations.  ``batch`` is the
 # vectorized :mod:`repro.compressors.kernels` stack; ``reference`` keeps
 # the scalar loops above as the equivalence oracle.  Every BWT-stack
-# kernel is a deterministic transform, so (unlike ``pyzlib``) compressed
-# bytes are identical across backends.
+# kernel is a deterministic transform, so compressed bytes are identical
+# across backends.
 _KERNEL_BACKENDS = {
     "batch": (
         _batch.mtf_encode,

@@ -3,7 +3,9 @@
 This is the reproduction's stand-in for zlib -- the "standard byte-level
 entropy coder" the paper builds PRIMACY on.  Pipeline:
 
-1. :func:`repro.compressors.lz77.tokenize` -- greedy hash-chain LZ77 parse.
+1. :func:`repro.compressors.lz77.tokenize` -- hash-chain LZ77 parse
+   (greedy, lazy at levels 7-9); :func:`repro.compressors.lz77.reassemble`
+   inverts it.  This scalar walk is the codec's only parse.
 2. Literal bytes            -> canonical Huffman (byte alphabet).
 3. Literal-run lengths      -> bucketed integer coding.
 4. Match lengths, distances -> bucketed integer coding.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors import kernels as _batch
 from repro.compressors._buckets import decode_bucketed, encode_bucketed
 from repro.compressors.base import Codec, CodecError, register_codec
 from repro.compressors.huffman import decode_symbol_block, encode_symbol_block
@@ -34,44 +35,6 @@ __all__ = ["DeflateCodec"]
 
 _MODE_RAW = 0
 _MODE_COMPRESSED = 1
-
-# The batch matcher amortizes its setup (exact-gram argsort, scout
-# sweep, parse waves) over deep chain walks, so it only pays off at the
-# lazy levels (7-9); at shallow depths the reference scalar walk wins on
-# most inputs (bench_entropy: tokenize_l6 0.76-1.04x vs tokenize_l9
-# 0.97-5.7x).  Likewise batch reassemble needs enough tokens to amortize
-# its wave setup -- except at zero matches, where it is a straight
-# vectorized literal copy.  The ``batch`` backend therefore hands
-# shallow-depth or tiny work to the reference loops per call; legal
-# under the parse-equivalence contract, and invisible on the decode
-# side (reassembly output is backend-independent).
-_BATCH_MIN_CHAIN = 64
-_BATCH_MIN_BYTES = 4096
-_BATCH_MIN_TOKENS = 2048
-
-
-def _tokenize_auto(data: bytes, *, max_chain: int, lazy: bool) -> TokenStream:
-    if max_chain >= _BATCH_MIN_CHAIN and len(data) >= _BATCH_MIN_BYTES:
-        return _batch.tokenize(data, max_chain=max_chain, lazy=lazy)
-    return tokenize(data, max_chain=max_chain, lazy=lazy)
-
-
-def _reassemble_auto(stream: TokenStream) -> bytes:
-    if stream.n_matches == 0 or stream.n_matches >= _BATCH_MIN_TOKENS:
-        return _batch.reassemble(stream)
-    return reassemble(stream)
-
-
-# Entropy-kernel backend -> (tokenize, reassemble).  ``batch`` is the
-# vectorized :mod:`repro.compressors.kernels` matcher behind the
-# adaptive dispatch above; ``reference`` is the frozen scalar parse,
-# kept as the equivalence oracle.  The two backends decode each other's
-# streams, but compressed bytes are only guaranteed identical per
-# backend (the batch matcher may pick different, equally valid matches).
-_KERNEL_BACKENDS = {
-    "batch": (_tokenize_auto, _reassemble_auto),
-    "reference": (tokenize, reassemble),
-}
 
 # zlib-like level -> (hash-chain depth, lazy matching).
 _LEVEL_CHAIN = {
@@ -95,23 +58,15 @@ class DeflateCodec(Codec):
     ----------
     level:
         1 (fastest) .. 9 (best ratio); controls match-search depth.
-    kernels:
-        ``"batch"`` (vectorized entropy kernels behind an adaptive
-        per-call dispatch, default) or ``"reference"`` (frozen scalar
-        implementation / oracle).
     """
 
     name = "pyzlib"
 
-    def __init__(self, level: int = 6, kernels: str = "batch") -> None:
+    def __init__(self, level: int = 6) -> None:
         if level not in _LEVEL_CHAIN:
             raise ValueError("level must be in 1..9")
-        if kernels not in _KERNEL_BACKENDS:
-            raise ValueError("kernels must be 'batch' or 'reference'")
         self.level = level
-        self.kernels = kernels
         self._max_chain, self._lazy = _LEVEL_CHAIN[level]
-        self._tokenize, self._reassemble = _KERNEL_BACKENDS[kernels]
 
     def compress(self, data: bytes) -> bytes:
         """Compress ``data`` into a self-describing stream (Codec API)."""
@@ -121,9 +76,7 @@ class DeflateCodec(Codec):
         if n == 0:
             return header
         with stage_span(self.name, "tokenize"):
-            stream = self._tokenize(
-                data, max_chain=self._max_chain, lazy=self._lazy
-            )
+            stream = tokenize(data, max_chain=self._max_chain, lazy=self._lazy)
         with stage_span(self.name, "huffman"):
             body = self._encode_tokens(stream)
         if len(body) >= n:
@@ -150,7 +103,7 @@ class DeflateCodec(Codec):
         with stage_span(self.name, "huffman"):
             stream = self._decode_tokens(data, pos, n)
         with stage_span(self.name, "reassemble"):
-            return self._reassemble(stream)
+            return reassemble(stream)
 
     # -- token (de)serialization -----------------------------------------
 

@@ -1,37 +1,15 @@
-"""Batch NumPy entropy-coder kernels (the ``batch`` backend).
+"""Batch NumPy BWT-stack kernels (the ``batch`` backend of ``pybzip``).
 
-The reference entropy stages in :mod:`repro.compressors.lz77` and
-:mod:`repro.compressors.bwt` walk the input one token (or one byte) at a
-time in Python.  After the PR-5 chunk kernels, those walks are >90 % of
-end-to-end compress wall time.  This module rebuilds every hot loop as a
-batch NumPy kernel, following the same playbook as
-:mod:`repro.core.kernels`: the naive implementations stay frozen as the
-``reference`` backend and equivalence oracle, selected per codec with
-``DeflateCodec(kernels=...)`` / ``BwtCodec(kernels=...)``.
+The reference stages in :mod:`repro.compressors.bwt` walk the input one
+byte at a time in Python.  This module rebuilds each of them as a batch
+NumPy kernel, following the same playbook as :mod:`repro.core.kernels`:
+the naive implementations stay frozen as the ``reference`` backend and
+equivalence oracle, selected with ``BwtCodec(kernels=...)``.  Every
+kernel is a deterministic transform and is **byte-identical** to its
+reference twin, so ``pybzip`` streams do not depend on the backend.
 
 Kernel inventory (each names its reference twin):
 
-* :func:`tokenize` -- bulk hash-chain LZ77 matcher, built in stages:
-  byte-run interiors get their exact distance-1 match assigned up
-  front and are excluded from the chain tables (zlib's run trick, in
-  bulk); the remaining positions chain on *exact* 4-byte grams (two
-  stable 16-bit ``argsort`` passes + scatter), so no chain depth is
-  spent on hash collisions; a depth-1 "scout" probe reads a match
-  length for every chainable position straight off 8-byte windows;
-  then parse and search alternate -- each round walks the greedy/lazy
-  parse over current best lengths and deep-searches (full ``max_chain``,
-  batched 8-byte word compares, cached per-distance mismatch indexes)
-  only positions that parse actually visits, converging when the
-  visited set stops growing.  The parse is *round-trip exact* and decodes
-  byte-identically under either backend, but it may pick different
-  (equally valid) matches than the reference greedy walk, so ``pyzlib``
-  streams are backend-dependent on the encode side.  Every other kernel
-  in this module is a deterministic transform and is **byte-identical**
-  to its reference twin.
-* :func:`reassemble` -- one-pass decode: all literal runs land in a
-  preallocated output buffer with a single vectorized scatter; matches
-  are raw ``memoryview`` block copies, with exponential doubling for
-  overlapping (period < length) copies.
 * :func:`mtf_encode` -- move-to-front via bitmask dominance counts: the
   input splits into 64-position blocks, one ``uint64`` lane per block,
   and a position's rank decomposes into popcounts of three AND-ed masks
@@ -39,12 +17,10 @@ Kernel inventory (each names its reference twin):
   positional window, and a first-in-block filter) plus a block-start
   rank from a running last-occurrence grid.  No Python-level list is
   ever touched.
-* :func:`mtf_decode` -- run-cycle decoding over a ``bytearray``
-  alphabet: a run of ``k`` equal ranks ``r`` emits a periodic cycle of
-  ``r + 1`` entries and leaves that prefix rotated, so runs (the
-  overwhelmingly common case on post-BWT data) decode with one slice
-  repeat and one slice rotation each; streams with few runs fall back
-  to a plain byte walk.
+* :func:`mtf_decode` -- rank 0 leaves the alphabet untouched, so only
+  the non-zero ranks are walked (one list pop + insert each); the
+  emitted bytes then fill the zero stretches with one cumulative-count
+  gather.  Post-BWT streams are mostly zeros.
 * :func:`rle0_encode` / :func:`rle0_decode` -- zero runs extracted with
   ``flatnonzero`` edge detection; bijective base-2 RUNA/RUNB digits
   generated and consumed with ``repeat``/``cumsum``/``reduceat``
@@ -54,9 +30,8 @@ Kernel inventory (each names its reference twin):
   goes), replacing the n-iteration Python walk with ``O(log n)``
   vectorized gathers over ``int32`` tables.
 
-Memory: the matcher materializes ``prev[]`` (int64) and 8-byte windows
-(uint64) over the input, ~16 bytes per input byte -- fine for chunk-sized
-buffers, which is the only way the pipeline calls it.
+``pyzlib`` has no batch backend: its LZ77 parse is the scalar
+:mod:`repro.compressors.lz77` walk.
 """
 
 from __future__ import annotations
@@ -64,46 +39,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import CodecError
-from repro.compressors.lz77 import MIN_MATCH, TokenStream
 
 __all__ = [
-    "tokenize",
-    "reassemble",
     "mtf_encode",
     "mtf_decode",
     "rle0_encode",
     "rle0_decode",
     "bwt_inverse",
 ]
-
-# Positions per candidate-search wave.  Larger segments amortize the
-# per-wave NumPy dispatch overhead; smaller segments keep the working
-# set cache-resident.
-_SEGMENT = 32768
-# Word-compare rounds before the extend loop first weighs handing the
-# remaining batch to the mismatch-index finisher (re-weighed every 8
-# rounds after that): matches up to 32+7 bytes always stay in the word
-# loop.
-_WORD_ROUNDS = 4
-# Mismatch-index cache: at most this many distances, and only sparse
-# indexes (dense ones mean the match ends fast and is cheap anyway).
-_ED_CACHE_CAP = 64
-# Longest extension the mismatch-index finisher resolves exactly.  A
-# truncated match stays a valid token (the parse re-enters the repeat
-# at the cut), so a generous cap costs at most one extra token per
-# _MAX_EXTEND matched bytes while keeping every mismatch scan bounded.
-_MAX_EXTEND = 4096
-# Quick-reject survivors accumulate across chain depths and extend in
-# one batch once this many lanes are pending -- the extend cost is
-# dispatch-bound at small batch sizes, so fewer, larger calls win.
-_FLUSH_LANES = 4096
-# Parse/deep-search alternation caps.  _DEEP_ROUNDS full rounds search
-# every parse-visited position (heads and literal gaps, the set the
-# reference walk searches); each costs an O(n) parse-state rebuild, so
-# the tail of convergence is handed to up to _POLISH_ROUNDS cheap
-# rounds that search emitted heads only against a patched parse state.
-_DEEP_ROUNDS = 2
-_POLISH_ROUNDS = 8
 
 _RUNA = 0
 _RUNB = 1
@@ -113,710 +56,6 @@ _MTF_BLOCK = 64  # positions per bitmask block (one uint64 lane each)
 
 # _LOW[j] = mask of bits 0..j-1; index 64 = all ones.
 _LOW = np.array([(1 << j) - 1 for j in range(65)], dtype=np.uint64)
-
-
-# --------------------------------------------------------------------- #
-# LZ77: bulk hash-chain matcher                                          #
-# --------------------------------------------------------------------- #
-
-
-def _windows64(arr: np.ndarray) -> np.ndarray:
-    """Big-endian 8-byte windows anchored at every byte position."""
-    n = arr.size
-    padded = np.zeros(n + 8, dtype=np.uint8)
-    padded[:n] = arr
-    win = np.zeros(n + 1, dtype=np.uint64)
-    for j in range(8):
-        win |= padded[j : j + n + 1].astype(np.uint64) << np.uint64(56 - 8 * j)
-    return win
-
-
-def _build_prev(grams: np.ndarray) -> np.ndarray:
-    """Most recent earlier position with the same 4-byte gram (-1: none).
-
-    One stable argsort groups positions by gram (ascending inside each
-    group), so every chain link is a single scatter -- the batch
-    equivalent of the incremental head/prev table build.  Unlike the
-    reference walk's 16-bit hash chains, keys are the *exact* 4-byte
-    grams: every chain candidate truly shares the ``MIN_MATCH`` prefix,
-    so no chain depth is ever spent wading through hash collisions.
-    """
-    prev = np.full(grams.size, -1, dtype=np.int64)
-    if grams.size > 1:
-        # NumPy's radix argsort only kicks in for <= 16-bit keys, so
-        # sort the 32-bit grams as two stable 16-bit passes (low then
-        # high) instead of one comparison sort.
-        order = np.argsort(grams.astype(np.uint16), kind="stable")
-        hi = (grams >> np.uint32(16)).astype(np.uint16)
-        order = order[np.argsort(hi[order], kind="stable")]
-        same = grams[order[1:]] == grams[order[:-1]]
-        prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
-def _run_remaining(arr: np.ndarray) -> np.ndarray:
-    """``out[i]`` = remaining length of the byte-run containing ``i``."""
-    n = arr.size
-    ends = np.flatnonzero(np.concatenate((arr[1:] != arr[:-1], [True])))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    return np.repeat(ends, ends - starts + 1) + 1 - np.arange(
-        n, dtype=np.int64
-    )
-
-
-def _extend_lengths(
-    data_arr: np.ndarray,
-    win: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    maxl: np.ndarray,
-    ed_cache: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Common-prefix lengths of ``data[a:]`` vs ``data[b:]``, capped at
-    ``maxl``, for a batch of candidate pairs (``a < b`` elementwise)."""
-    length = np.zeros(a.size, dtype=np.int64)
-    alive = np.ones(a.size, dtype=bool)
-    word_mis = np.zeros(a.size, dtype=bool)
-    rounds = 0
-    check = _WORD_ROUNDS
-    wide = False
-    woff = np.arange(8, dtype=np.int64)
-    n8 = win.size - 1  # win is zero-padded: index n is always valid
-    while True:
-        idx = np.flatnonzero(alive & (length + 8 <= maxl))
-        if idx.size == 0:
-            break
-        if rounds >= check:
-            # Past the first rounds, pick a strategy for the batch
-            # that is still extending.  The mismatch-index finisher
-            # below costs one vectorized pass per *distinct distance*,
-            # so it wins when distances are shared (periodic data) or
-            # the batch is small; word-stepping wins when many
-            # scattered distances each have a handful of lanes
-            # (repeated-region data), where per-distance passes would
-            # dwarf a few more 8-byte rounds.
-            if idx.size < 32 or rounds >= _MAX_EXTEND >> 3:
-                break
-            nd = np.unique(b[idx] - a[idx]).size
-            if nd * 16 <= idx.size:
-                break
-            check = rounds + 8
-            wide = True
-        if wide:
-            # Wide rounds: once the batch has committed to stepping,
-            # compare 8 words (64 bytes) per pass with one 2-D gather,
-            # amortizing the per-round bookkeeping that dominates long
-            # scattered-distance extends.  Words past the cap are
-            # masked out; a lane that exhausts its valid words without
-            # mismatching falls through to the ragged tail.
-            rounds += 8
-            lt = length[idx]
-            rem_w = np.minimum((maxl[idx] - lt) >> 3, 8)
-            at = np.minimum(a[idx, None] + lt[:, None] + (woff << 3), n8)
-            bt = np.minimum(b[idx, None] + lt[:, None] + (woff << 3), n8)
-            eq2 = (win[at] == win[bt]) & (woff < rem_w[:, None])
-            adv = np.cumprod(eq2, axis=1).sum(axis=1)
-            length[idx] = lt + (adv << 3)
-            stopped = idx[adv < rem_w]
-            word_mis[stopped] = True
-            alive[stopped] = False
-            continue
-        rounds += 1
-        wa = win[a[idx] + length[idx]]
-        eq = wa == win[b[idx] + length[idx]]
-        # Run fast-forward: when both windows are one repeated byte --
-        # the dominant case on preconditioned ID streams -- the match
-        # continues for the rest of the shorter run, and ends there if
-        # the runs differ in length (the next byte then differs on
-        # exactly one side).  One jump replaces up to thousands of
-        # word rounds and keeps single-byte runs out of the mismatch
-        # index, whose per-distance cost explodes when every run pairs
-        # with every earlier run of the same byte.
-        rep = eq & (wa == (wa >> np.uint64(56)) * np.uint64(0x0101010101010101))
-        ri = np.flatnonzero(rep)
-        if ri.size:
-            runs = ed_cache.get(-1)
-            if runs is None:
-                runs = _run_remaining(data_arr)
-                ed_cache[-1] = runs
-            ii = idx[ri]
-            jump = np.minimum(
-                runs[a[ii] + length[ii]], runs[b[ii] + length[ii]]
-            )
-            length[ii] += np.minimum(jump, maxl[ii] - length[ii])
-            # Lanes stay alive: equal-length runs may keep matching past
-            # the run end (next round decides); unequal runs mismatch at
-            # the jump target, which the next round's word compare or
-            # tail path resolves with zero extra bytes.
-            eq[ri] = False  # handled; drop out of the plain +8 path
-        length[idx[eq]] += 8
-        word_mis[idx[~eq & ~rep]] = True
-        alive[idx[~eq & ~rep]] = False
-
-    # Word mismatch: the first differing byte is inside the next 8 (all
-    # in bounds, because the word round required length + 8 <= maxl).
-    idx = np.flatnonzero(word_mis)
-    if idx.size:
-        off = np.arange(8, dtype=np.int64)
-        at = a[idx, None] + length[idx, None] + off
-        bt = b[idx, None] + length[idx, None] + off
-        length[idx] += np.argmin(data_arr[at] == data_arr[bt], axis=1)
-
-    # Ragged tail: fewer than 8 bytes left before the cap.
-    tail = np.flatnonzero(alive & (length + 8 > maxl) & (length < maxl))
-    if tail.size:
-        rem = maxl[tail] - length[tail]
-        off = np.arange(8, dtype=np.int64)
-        hi = data_arr.size - 1
-        at = np.minimum(a[tail, None] + length[tail, None] + off, hi)
-        bt = np.minimum(b[tail, None] + length[tail, None] + off, hi)
-        eqm = (data_arr[at] == data_arr[bt]) | (off >= rem[:, None])
-        run = np.cumprod(eqm, axis=1).sum(axis=1)
-        length[tail] += np.minimum(run, rem)
-
-    # Long matches (> _WORD_ROUNDS words): resolve against the mismatch
-    # index E_d = {x : data[x] != data[x - d]} -- the match from b at
-    # distance d ends at the first such x at or after b.  Each distinct
-    # distance costs one vectorized compare over the buffer, and sparse
-    # indexes (periodic data, the worst case for per-lane scans) are
-    # cached for the whole parse; dense indexes are used once -- a dense
-    # index means matches at that distance die fast anyway.
-    long_idx = np.flatnonzero(alive & (length + 8 <= maxl))
-    if long_idx.size:
-        n = data_arr.size
-        dists = b[long_idx] - a[long_idx]
-        for d in np.unique(dists).tolist():
-            lanes = long_idx[np.flatnonzero(dists == d)]
-            bpos = b[lanes]
-            # A *full* index (prebuilt or cached) answers with the true
-            # mismatch position, so the match resolves exactly -- vital
-            # on periodic data, where matches run to the buffer end and
-            # any artificial cap would leave the lane re-extending at
-            # every later chain depth.  Only a *localized* index caps
-            # the result, at _MAX_EXTEND extra bytes, to bound its scan
-            # window.
-            cap = maxl[lanes]
-            ed = ed_cache.get(d)
-            if ed is None:
-                wcap = np.minimum(cap, length[lanes] + _MAX_EXTEND)
-                lo = int(bpos.min())
-                hi = min(int((bpos + wcap).max()), n)
-                if lanes.size >= 256 or hi - lo > n // 2:
-                    # Many lanes share this distance (periodic data --
-                    # where capped windows would leave every lane alive
-                    # and inching forward at each chain depth), or the
-                    # lanes already span most of the buffer: one full
-                    # index, cached when sparse enough to be worth
-                    # keeping.
-                    ed = np.flatnonzero(data_arr[d:] != data_arr[:-d]) + d
-                    if (
-                        len(ed_cache) < _ED_CACHE_CAP
-                        and ed.size <= max(1024, n // 4)
-                    ):
-                        ed_cache[d] = ed
-                else:
-                    # Localized lanes: compare only the spanned window
-                    # (b >= d always holds, so the shifted slice is in
-                    # bounds).
-                    ed = (
-                        np.flatnonzero(
-                            data_arr[lo:hi] != data_arr[lo - d : hi - d]
-                        )
-                        + lo
-                    )
-                    cap = wcap
-            j = np.searchsorted(ed, bpos)
-            mis = np.full(lanes.size, n, dtype=np.int64)
-            ok = j < ed.size
-            mis[ok] = ed[j[ok]]
-            length[lanes] = np.minimum(mis - bpos, cap)
-    return length
-
-
-def _segment_best(
-    data_arr: np.ndarray,
-    win: np.ndarray,
-    prev: np.ndarray,
-    start: int,
-    end: int,
-    max_chain: int,
-    min_match: int,
-    ed_cache: dict[int, np.ndarray],
-    active: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best match (length, distance) for every position in [start, end).
-
-    Walks all hash chains for the segment in lock-step: at each depth,
-    open lanes quick-reject (prefix windows plus the byte that would
-    extend their current best -- the reference walk's test), then
-    batch-extend the survivors.  A lane closes when its chain ends or
-    it already matched to the end of the buffer, mirroring the
-    reference walk's early exits.
-
-    ``active`` (bool, length ``end - start``) restricts the search to a
-    subset of positions; the rest return length 0.
-    """
-    n = data_arr.size
-    m = end - start
-    cur = np.full(m, min_match - 1, dtype=np.int64)
-    best_dist = np.zeros(m, dtype=np.int64)
-    if active is None:
-        lane = np.arange(m, dtype=np.int64)
-    else:
-        lane = np.flatnonzero(active)
-    pos_l = lane + start
-    maxl_l = n - pos_l
-    cand_l = prev[pos_l]
-
-    # Survivors pend here between flushes; each flush extends them all
-    # in one call and applies per-lane winners.
-    pend: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    pend_n = 0
-
-    def _flush() -> None:
-        nonlocal pend_n
-        cq = np.concatenate([p[0] for p in pend])
-        pq = np.concatenate([p[1] for p in pend])
-        mq = np.concatenate([p[2] for p in pend])
-        qi = np.concatenate([p[3] for p in pend])
-        pend.clear()
-        pend_n = 0
-        ext = _extend_lengths(data_arr, win, cq, pq, mq, ed_cache)
-        if qi.size > 1:
-            # One lane may have candidates from several depths: keep the
-            # longest, tie-broken by earliest depth (pend order), which
-            # is the nearest candidate -- the reference walk's rule.
-            seq = np.arange(qi.size, dtype=np.int64)
-            order = np.lexsort((seq, -ext, qi))
-            qo = qi[order]
-            keep = np.ones(qo.size, dtype=bool)
-            keep[1:] = qo[1:] != qo[:-1]
-            sel = order[keep]
-            qi = qi[sel]
-            ext = ext[sel]
-            cq = cq[sel]
-            pq = pq[sel]
-        better = ext > cur[qi]
-        upd = qi[better]
-        cur[upd] = ext[better]
-        best_dist[upd] = (pq - cq)[better]
-
-    # ``cur`` only changes inside ``_flush``, so everything derived from
-    # it -- the lane-closure test and the quick-reject shift -- is
-    # refreshed after flushes instead of every depth.  The depth loop
-    # itself only walks chains, rejects, and accumulates survivors.
-    def _refresh() -> tuple[np.ndarray, ...]:
-        cl = cur[lane]
-        keep = cl < maxl_l
-        if not keep.all():
-            cl = cl[keep]
-        shift = (
-            np.uint64(8) - np.minimum(cl + 1, 8).astype(np.uint64)
-        ) << np.uint64(3)
-        if keep.all():
-            return lane, pos_l, maxl_l, cand_l, wp_l, shift, cl
-        return (
-            lane[keep],
-            pos_l[keep],
-            maxl_l[keep],
-            cand_l[keep],
-            wp_l[keep],
-            shift,
-            cl,
-        )
-
-    wp_l = win[pos_l]
-    lane, pos_l, maxl_l, cand_l, wp_l, shift, cl_l = _refresh()
-    for depth in range(max_chain):
-        if lane.size == 0:
-            break
-        alive = cand_l >= 0
-        if not alive.all():
-            lane = lane[alive]
-            if lane.size == 0:
-                break
-            pos_l = pos_l[alive]
-            maxl_l = maxl_l[alive]
-            cand_l = cand_l[alive]
-            wp_l = wp_l[alive]
-            shift = shift[alive]
-            cl_l = cl_l[alive]
-        # Quick-reject, mirroring the reference walk's: to beat the
-        # current best of ``cl`` bytes the candidate must agree on the
-        # first min(cl + 1, 8) bytes (one masked xor of the precomputed
-        # big-endian windows) *and* on the byte that would extend the
-        # best, ``data[cand + cl] == data[pos + cl]`` (one gather; this
-        # is what keeps long-match lanes cheap at depth).  ``cur`` lags
-        # by up to one flush interval, so the reject is conservative
-        # (never drops a true improvement) and ``_flush`` re-checks
-        # ``better``.
-        okm = ((win[cand_l] ^ wp_l) >> shift) == 0
-        if okm.any():
-            okw = np.flatnonzero(okm)
-            deep = np.flatnonzero(cl_l[okw] >= 8)
-            if deep.size:
-                di = okw[deep]
-                still = (
-                    data_arr[cand_l[di] + cl_l[di]]
-                    == data_arr[pos_l[di] + cl_l[di]]
-                )
-                okm[di[~still]] = False
-                okw = np.flatnonzero(okm)
-            if okw.size:
-                pend.append(
-                    (cand_l[okw], pos_l[okw], maxl_l[okw], lane[okw])
-                )
-                pend_n += okw.size
-                # Flush unconditionally after the first two depths: the
-                # nearest candidates set most lanes' final best, and a
-                # tight ``cur`` arms the byte-at-``cl`` reject for the
-                # whole rest of the chain -- mirroring how the
-                # reference walk's threshold rises as it descends.
-                if pend_n >= _FLUSH_LANES or depth < 2:
-                    _flush()
-                    lane, pos_l, maxl_l, cand_l, wp_l, shift, cl_l = (
-                        _refresh()
-                    )
-        cand_l = prev[cand_l]
-    if pend_n:
-        _flush()
-    best_len = np.where(best_dist > 0, cur, 0)
-    return best_len, best_dist
-
-
-def _deep_search(
-    data_arr: np.ndarray,
-    win: np.ndarray,
-    prev: np.ndarray,
-    blen: np.ndarray,
-    bdist: np.ndarray,
-    targets: np.ndarray,
-    limit: int,
-    max_chain: int,
-    min_match: int,
-    ed_cache: dict[int, np.ndarray],
-) -> None:
-    """Full-depth chain search of ``targets``; improves blen/bdist in place."""
-    deep_mask = np.zeros(limit + 1, dtype=bool)
-    deep_mask[targets] = True
-    for s in range(0, limit + 1, _SEGMENT):
-        e = min(s + _SEGMENT, limit + 1)
-        act = deep_mask[s:e]
-        if not act.any():
-            continue
-        bl, bd = _segment_best(
-            data_arr, win, prev, s, e, max_chain, min_match,
-            ed_cache, active=act,
-        )
-        upd = bl > blen[s:e]
-        blen[s:e][upd] = bl[upd]
-        bdist[s:e][upd] = bd[upd]
-
-
-def _parse_state(blen: np.ndarray, limit: int) -> tuple[list[int], list[int]]:
-    """Plain-list parse inputs: per-position lengths + next-match table.
-
-    Building these is O(n) (two ``tolist`` passes), so callers that
-    re-parse after localized ``blen`` updates should patch the returned
-    length list in place instead of rebuilding -- valid as long as no
-    *new* position gains its first match (the next-match table only
-    depends on where matches exist, not how long they are).
-    """
-    absorb = limit + 1
-    idx = np.arange(limit + 1, dtype=np.int64)
-    has_match = blen[:-1] > 0
-    nxt = np.minimum.accumulate(
-        np.where(has_match, idx, absorb)[::-1]
-    )[::-1].tolist()
-    return blen.tolist(), nxt
-
-
-def _parse_heads(
-    blen: np.ndarray,
-    limit: int,
-    lazy: bool,
-    state: tuple[list[int], list[int]] | None = None,
-) -> np.ndarray:
-    """Emitted match heads of the greedy/lazy parse over ``blen``.
-
-    ``blen`` is the per-position best-match-length array including the
-    sentinel slot at ``limit + 1``.  The parse follows the successor
-    ``f(i) = i + len(i)`` (match), ``i + 1`` (lazy deferral) or
-    ``next_match(i)`` (literal gap); literal gaps are jumped via a
-    vectorized next-match table, so the walk is O(tokens), not
-    O(positions).  ``state`` reuses a (patched) :func:`_parse_state`.
-    """
-    bl, nxt = _parse_state(blen, limit) if state is None else state
-    heads: list[int] = []
-    append = heads.append
-    i = 0
-    while i <= limit:
-        length = bl[i]
-        if not length:
-            i = nxt[i]
-            continue
-        if lazy and bl[i + 1] > length:
-            i += 1
-            continue
-        append(i)
-        i += length
-    return np.asarray(heads, dtype=np.int64)
-
-
-def tokenize(
-    data: bytes,
-    *,
-    max_chain: int = 16,
-    min_match: int = MIN_MATCH,
-    skip_trigger: int = 6,
-    lazy: bool = False,
-) -> TokenStream:
-    """Batch greedy (optionally lazy) LZ77 parse of ``data``.
-
-    Drop-in for :func:`repro.compressors.lz77.tokenize` (same signature;
-    ``skip_trigger`` is accepted for parity but unused -- the batch
-    matcher's cost on incompressible data is bounded by its empty hash
-    chains, not by a skip stride).  Three stages: run interiors take
-    their exact distance-1 match from a vectorized run-length table; a
-    no-extend *scout* probes every other position against its nearest
-    chain candidate straight off the 8-byte windows; then full-depth
-    candidate waves re-search only the positions the parse visits,
-    alternating parse and search until the visited set stops growing,
-    with a final polish that re-searches any still-scout-capped
-    *emitted* heads against a patched parse state.  Every stage only
-    ever records real matches, so the parse is round-trip exact at
-    every round.
-    """
-    if min_match < MIN_MATCH:
-        raise ValueError(f"min_match must be >= {MIN_MATCH}")
-    data = bytes(data)
-    n = len(data)
-    empty = np.zeros(0, dtype=np.int64)
-    if n < min_match or max_chain <= 0:
-        return TokenStream(
-            np.array([n], dtype=np.int64), empty, empty, data, n
-        )
-
-    data_arr = np.frombuffer(data, dtype=np.uint8)
-    win = _windows64(data_arr)
-    limit = n - min_match
-    ed_cache: dict[int, np.ndarray] = {}
-
-    # Best match per position, in cache-friendly waves.  The sentinel
-    # slot at limit + 1 keeps the lazy comparison in bounds.
-    blen = np.zeros(limit + 2, dtype=np.int64)
-    bdist = np.zeros(limit + 2, dtype=np.int64)
-
-    # Run pruning: a position strictly inside a byte-run matches at
-    # distance 1 for the rest of the run, so it gets that match directly
-    # and skips the chain walk.  Preconditioned ID streams are mostly
-    # such positions, and whichever ones the parse actually lands on are
-    # exactly the mid-run entries where the distance-1 match is the
-    # natural emission.
-    rem_all = _run_remaining(data_arr)
-    ed_cache[-1] = rem_all
-    rem = rem_all[: limit + 1]
-    interior = np.zeros(limit + 1, dtype=bool)
-    interior[1:] = (data_arr[1 : limit + 1] == data_arr[:limit]) & (
-        rem[1:] >= min_match
-    )
-    blen[:-1][interior] = rem[interior]
-    bdist[:-1][interior] = 1
-
-    # Hash chains over the *exact* 4-byte grams of every non-interior
-    # position.  Leaving run interiors out of the chains (zlib skips
-    # inserting them too) keeps run-heavy data from chaining every run
-    # byte to every other; matches into a run still reach it through
-    # the run's start position.
-    chainable = np.flatnonzero(~interior)
-    grams = (win[chainable] >> np.uint64(32)).astype(np.uint32)
-    prevk = _build_prev(grams)
-    prev = np.full(limit + 1, -1, dtype=np.int64)
-    hit = prevk >= 0
-    prev[chainable[hit]] = chainable[prevk[hit]]
-
-    # Scout pass: one depth-1 probe of every remaining position with no
-    # extends at all -- the match length against the nearest hash-chain
-    # candidate is read straight off the precomputed 8-byte windows
-    # (capped at 8; a truncated match is still a valid token).  This
-    # prices the all-positions sweep at a handful of vectorized ops.
-    pos = np.flatnonzero(~interior)
-    cand = prev[pos]
-    keep = cand >= 0
-    pos = pos[keep]
-    cand = cand[keep]
-    if pos.size:
-        x = win[cand] ^ win[pos]
-        length = np.full(pos.size, 8, dtype=np.int64)
-        nz = np.flatnonzero(x)
-        if nz.size:
-            xv = x[nz]
-            lead = (xv >> np.uint64(56)) == 0
-            lead = lead.astype(np.int64)
-            for t in range(48, 7, -8):
-                lead += (xv >> np.uint64(t)) == 0
-            length[nz] = lead
-        length = np.minimum(length, n - pos)
-        good = length >= min_match
-        blen[pos[good]] = length[good]
-        bdist[pos[good]] = (pos - cand)[good]
-
-    # Deep rounds: full-depth search only where the parse actually goes.
-    # Each round parses the current (always valid) match table, then
-    # deep-searches every parse-visited position -- emitted heads and
-    # literal-gap bytes, exactly the set the reference walk searches --
-    # that no earlier round covered.  Compressible data converges in two
-    # or three rounds with a small fraction of positions ever searched;
-    # incompressible data degenerates to one full-buffer wave.
-    searched = interior.copy()
-    for rnd in range(_DEEP_ROUNDS):
-        om = _parse_heads(blen, limit, lazy)
-        inside = np.zeros(limit + 1, dtype=bool)
-        if om.size:
-            # Positions strictly inside an emitted match ([head+1, end))
-            # are never parse-visited.  Edge scatter + cumsum: heads are
-            # strictly increasing and matches never overlap, so the +1
-            # slots (om + 1) and the -1 slots (ends) are disjoint.
-            edges = np.zeros(limit + 2, dtype=np.int32)
-            edges[om + 1] = 1
-            ends = np.minimum(om + blen[om], limit + 1)
-            edges[ends] = -1
-            inside = np.cumsum(edges[:-1]) > 0
-        new = np.flatnonzero(~inside & ~searched)
-        if new.size == 0:
-            break
-        if rnd and new.size < max(128, (limit + 1) >> 8):
-            # Convergence tail: a dwindling trickle of freshly visited
-            # positions is not worth another parse round; they keep
-            # their (valid) scout matches.  The first round, which
-            # carries the bulk of the search, always runs.
-            break
-        searched[new] = True
-        _deep_search(
-            data_arr, win, prev, blen, bdist, new, limit, max_chain,
-            min_match, ed_cache,
-        )
-    else:
-        om = _parse_heads(blen, limit, lazy)
-
-    # Polish: the convergence break above can leave *emitted* heads
-    # holding scout-capped (<= 8 byte) matches, which is where the
-    # parse-equivalence ratio drift lives.  Heads are a tiny set, so
-    # keep deep-searching just the never-searched emitted heads (and
-    # their lazy lookahead neighbours) until the parse stabilizes.  The
-    # parse state is built once and patched at the searched positions
-    # (deepening an existing match never moves the next-match table).
-    state: tuple[list[int], list[int]] | None = None
-    for _ in range(_POLISH_ROUNDS):
-        stale = om[~searched[om]]
-        if lazy and om.size:
-            peek = om + 1
-            peek = peek[(peek <= limit) & ~searched[np.minimum(peek, limit)]]
-            stale = np.union1d(stale, peek)
-        if stale.size == 0:
-            break
-        searched[stale] = True
-        _deep_search(
-            data_arr, win, prev, blen, bdist, stale, limit, max_chain,
-            min_match, ed_cache,
-        )
-        if state is None:
-            state = _parse_state(blen, limit)
-        else:
-            bl_list = state[0]
-            for i, v in zip(stale.tolist(), blen[stale].tolist()):
-                bl_list[i] = v
-        om = _parse_heads(blen, limit, lazy, state)
-
-    if om.size == 0:
-        return TokenStream(
-            np.array([n], dtype=np.int64), empty, empty, data, n
-        )
-    lens = blen[om]
-    dists = bdist[om]
-    ends = om + lens
-    lit_runs = np.empty(om.size + 1, dtype=np.int64)
-    lit_runs[0] = om[0]
-    lit_runs[1:-1] = om[1:] - ends[:-1]
-    lit_runs[-1] = n - ends[-1]
-
-    # Literal bytes = positions outside every match interval, via one
-    # +1/-1 edge scatter and a cumulative sum.  A match start colliding
-    # with the previous match's end nets to zero in either order.
-    edges = np.zeros(n + 1, dtype=np.int32)
-    edges[om] = 1
-    edges[ends] -= 1
-    inside = np.cumsum(edges[:-1]) > 0
-    literals = data_arr[~inside].tobytes()
-    return TokenStream(
-        lit_runs,
-        lens,
-        dists,
-        literals,
-        n,
-    )
-
-
-def reassemble(stream: TokenStream) -> bytes:
-    """One-pass inverse of :func:`tokenize` (either backend's parse).
-
-    Byte-identical to :func:`repro.compressors.lz77.reassemble`.  The
-    output buffer is preallocated; every literal byte lands with one
-    vectorized scatter, and each match is a raw ``memoryview`` block
-    copy (overlapping matches replicate their period with exponential
-    doubling instead of materializing ``chunk * q`` temporaries).
-    """
-    stream.validate()
-    n = stream.original_size
-    runs = np.ascontiguousarray(stream.lit_runs, dtype=np.int64)
-    lens = np.ascontiguousarray(stream.match_lens, dtype=np.int64)
-    dists = np.ascontiguousarray(stream.match_dists, dtype=np.int64)
-    if runs.size and int(runs.min()) < 0:
-        raise CodecError("negative literal run")
-    if lens.size == 0:
-        if len(stream.literals) != n:
-            raise CodecError("reassembled size mismatch")
-        return stream.literals
-
-    # Output offsets of every token, in one cumulative pass.
-    runs_cum = np.cumsum(runs)
-    lens_cum = np.concatenate(([0], np.cumsum(lens)))
-    match_dst = runs_cum[:-1] + lens_cum[:-1]  # where match k starts
-    if int(dists.max()) > 0 and bool(np.any(dists > match_dst)):
-        raise CodecError("match distance reaches before buffer start")
-
-    buf = bytearray(n)
-    out = np.frombuffer(buf, dtype=np.uint8)
-    lit = np.frombuffer(stream.literals, dtype=np.uint8)
-    if lit.size:
-        # Destination of literal run k minus its source offset, repeated
-        # per byte: one fancy-index scatter places every literal.
-        lit_dst = match_dst - runs[:-1]
-        lit_dst = np.concatenate((lit_dst, [runs_cum[-1] + lens_cum[-1] - runs[-1]]))
-        lit_src = np.concatenate(([0], runs_cum[:-1]))
-        shift = np.repeat(lit_dst - lit_src, runs)
-        out[shift + np.arange(lit.size, dtype=np.int64)] = lit
-
-    # All copies below are between disjoint ranges of ``buf``, so plain
-    # memcpy semantics through the memoryview are exact.
-    with memoryview(buf) as mv:
-        for dst, length, d in zip(
-            match_dst.tolist(), lens.tolist(), dists.tolist()
-        ):
-            src = dst - d
-            if d >= length:
-                mv[dst : dst + length] = mv[src : src + length]
-            else:
-                # Overlapping copy == periodic run with period d: seed
-                # one period, then double the filled region until
-                # covered.
-                mv[dst : dst + d] = mv[src:dst]
-                filled = d
-                while filled < length:
-                    c = min(filled, length - filled)
-                    mv[dst + filled : dst + filled + c] = mv[dst : dst + c]
-                    filled += c
-    return bytes(buf)
 
 
 # --------------------------------------------------------------------- #
@@ -877,8 +116,8 @@ def mtf_encode(data: np.ndarray) -> np.ndarray:
     nb = (n + B - 1) // B
     npad = nb * B
 
-    # Previous occurrence of the same byte (-1: never), via one radix
-    # argsort -- same construction as the LZ77 chain links.
+    # Previous occurrence of the same byte (-1: never), via one stable
+    # argsort that groups positions by byte.
     order = np.argsort(data, kind="stable").astype(np.int32)
     P = np.full(npad, -1, dtype=np.int32)
     if n > 1:

@@ -97,8 +97,6 @@ class PrimacyConfig:
     ----------
     codec:
         Registry name of the backend "solver" compressor (paper: zlib).
-    codec_options:
-        Keyword arguments for the codec constructor.
     chunk_bytes:
         In-situ chunk size (paper: 3 MB).
     word_bytes / high_bytes:
@@ -129,7 +127,6 @@ class PrimacyConfig:
     """
 
     codec: str = "pyzlib"
-    codec_options: dict = field(default_factory=dict)
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
     word_bytes: int = 8
     high_bytes: int = 2
@@ -530,7 +527,7 @@ class PrimacyCompressor:
     ) -> None:
         self.config = config or PrimacyConfig()
         self.arena = arena if arena is not None else ScratchArena()
-        self._codec = get_codec(self.config.codec, **self.config.codec_options)
+        self._codec = get_codec(self.config.codec)
         self._mapper = IdMapper(seq_bytes=self.config.high_bytes)
         self._chunker = Chunker(self.config.chunk_bytes, self.config.word_bytes)
 

@@ -2,7 +2,7 @@
 
 The paper's premise -- sample first, decide, then spend compute --
 applied per chunk: a small word-aligned prefix of each chunk is pushed
-through every candidate ``(codec, split-width, linearization, kernels)``
+through every candidate ``(codec, split-width, linearization)``
 configuration, each probe is scored with the Sec-III cost model
 (measured ratio x predicted end-to-end throughput), and the winner
 compresses the full chunk.  The decision is serialized into the chunk

@@ -1,10 +1,10 @@
 """Candidate pipeline configurations and the planner configuration.
 
-A :class:`Candidate` names the four knobs the planner is allowed to vary
-per chunk -- backend codec, high-order split width, ID-stream
-linearization, and the chunk-kernel backend.  Everything else (chunk
-size, word width, checksum, ISOBAR thresholds) is inherited from the
-base :class:`~repro.core.PrimacyConfig`, so every candidate record stays
+A :class:`Candidate` names the three knobs the planner is allowed to
+vary per chunk -- backend codec, high-order split width, and ID-stream
+linearization.  Everything else (chunk size, word width, checksum,
+ISOBAR thresholds) is inherited from the base
+:class:`~repro.core.PrimacyConfig`, so every candidate record stays
 decodable from the per-record planned header plus the container/file
 header alone.
 
@@ -46,16 +46,12 @@ class Candidate:
     codec: str = "pyzlib"
     high_bytes: int = 2
     linearization: Linearization = Linearization.COLUMN
-    kernels: str = "fused"
 
     @property
     def label(self) -> str:
         """Short human-readable name (obs labels, CLI summaries)."""
         lin = "col" if self.linearization is Linearization.COLUMN else "row"
-        tag = f"{self.codec}/hb{self.high_bytes}/{lin}"
-        if self.kernels != "fused":
-            tag += f"/{self.kernels}"
-        return tag
+        return f"{self.codec}/hb{self.high_bytes}/{lin}"
 
     def config(self, base: PrimacyConfig) -> PrimacyConfig:
         """Full pipeline configuration: this candidate over ``base``.
@@ -73,7 +69,6 @@ class Candidate:
             isobar=base.isobar,
             isobar_granularity=base.isobar_granularity,
             checksum=base.checksum,
-            kernels=self.kernels,
         )
 
 

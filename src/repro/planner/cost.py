@@ -35,7 +35,7 @@ Compute-time calibration (``"static"`` mode, the default):
   counts (:class:`repro.compressors.lz77.ParseStats`) through the
   committed linear model :data:`PYZLIB_PARSE_NS` -- a pure function of
   the probed bytes, which keeps planned archives bit-reproducible.
-* Every other codec uses the committed stage-rate tables
+* Every other codec uses the committed stage rates
   (:data:`STATIC_CODEC_MBPS` over the codec's input bytes,
   :data:`STATIC_PRECONDITIONER_MBPS` over chunk bytes).
 
@@ -83,12 +83,9 @@ STATIC_CODEC_MBPS: dict[str, float] = {
 #: Fallback for codecs absent from the table (conservative slow-ish).
 _DEFAULT_CODEC_MBPS = 2.0
 
-#: Precondition + ISOBAR-analysis throughput per kernels backend, MB/s
-#: over chunk input bytes.
-STATIC_PRECONDITIONER_MBPS: dict[str, float] = {
-    "fused": 330.0,
-    "reference": 230.0,
-}
+#: Precondition + ISOBAR-analysis throughput of the fused chunk kernels,
+#: MB/s over chunk input bytes.
+STATIC_PRECONDITIONER_MBPS: float = 330.0
 
 #: Fixed per-record output bytes that do not scale with input size
 #: (stream headers, Huffman code-length tables, bucket dictionaries).
@@ -153,12 +150,10 @@ def _compute_seconds(
             + const
         )
         return max(nsb, _PYZLIB_MIN_NSB) * chunk_len * 1e-9
-    prec_mbps = STATIC_PRECONDITIONER_MBPS.get(
-        candidate.kernels, STATIC_PRECONDITIONER_MBPS["fused"]
-    )
     comp_mbps = STATIC_CODEC_MBPS.get(candidate.codec, _DEFAULT_CODEC_MBPS)
     codec_in = (stats.high_in + stats.low_compressible_in) * scale
-    return chunk_len / (prec_mbps * 1e6) + codec_in / (comp_mbps * 1e6)
+    prec_seconds = chunk_len / (STATIC_PRECONDITIONER_MBPS * 1e6)
+    return prec_seconds + codec_in / (comp_mbps * 1e6)
 
 
 def score_candidate(

@@ -27,19 +27,11 @@ PAYLOAD_PATH = DATA_DIR / "golden_payload.bin"
 #: Seed honoring the paper's publication year.
 SEED = 2012
 
-# The goldens predate the batch entropy kernels, whose LZ77 parse may
-# legally pick different (equally valid) matches.  Pin the reference
-# backend so re-encoding stays byte-identical to the committed corpus;
-# decode-side tests still run through the session-default backend.
 PRIF_CONFIG = PrimacyConfig(
     chunk_bytes=4096,
     index_policy=IndexReusePolicy.CORRELATED,
-    codec_options={"kernels": "reference"},
 )
-PRCK_CONFIG = PrimacyConfig(
-    chunk_bytes=4096,
-    codec_options={"kernels": "reference"},
-)
+PRCK_CONFIG = PrimacyConfig(chunk_bytes=4096)
 
 
 def payload_bytes() -> bytes:

@@ -50,7 +50,7 @@ class TestConfigValidation:
 
         for name in available_codecs():
             assert name in STATIC_CODEC_MBPS, name
-        assert set(STATIC_PRECONDITIONER_MBPS) == {"fused", "reference"}
+        assert STATIC_PRECONDITIONER_MBPS == 330.0
 
 
 class TestPlanning:

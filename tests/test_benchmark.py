@@ -69,6 +69,29 @@ class TestCompare:
     def test_datasets_missing_from_baseline_are_skipped(self, document):
         assert compare(document, {"results": {}}) == []
 
+    def test_summary_section(self):
+        metrics = ("scaleup", "locality")
+        current = {
+            "results": {"obs_temp": {"scaleup": 0.1}},
+            "summary": {"scaleup": 1.0, "locality": 0.95, "ungated": 0.0},
+        }
+        baseline = {"summary": {"scaleup": 2.0, "locality": 0.97, "ungated": 9.0}}
+        regressions = compare(
+            current, baseline, metrics=metrics, section="summary"
+        )
+        # Only the gated summary metric past the threshold regresses,
+        # reported under the row name "summary"; per-dataset rows and
+        # ungated keys are ignored.
+        assert regressions == [
+            "summary: scaleup regressed 50.0% (baseline 2.000, current 1.000)"
+        ]
+        assert compare(current, {}, metrics=metrics, section="summary") == []
+        assert compare(current, baseline, metrics=metrics) == []
+
+    def test_unknown_section_rejected(self, document):
+        with pytest.raises(ValueError, match="section"):
+            compare(document, document, section="totals")
+
 
 class TestBenchCli:
     def test_check_fails_on_injected_slowdown(self, document, tmp_path, capsys):
