@@ -6,26 +6,40 @@ codecs and a registered standalone codec (``huffman``).  Three pieces:
 * :func:`code_lengths` -- optimal length-limited code lengths via the
   package-merge algorithm (Larmore & Hirschberg).  Length limit is
   :data:`MAX_BITS` = 12 so the decoder can use flat 4096-entry tables.
-* :class:`HuffmanTable` -- canonical code assignment, vectorized encoding
-  (table gather + :func:`repro.util.bitio.pack_bits`), and vectorized
-  decoding.
+* :func:`canonical_codes` and the decoder's flat tables -- both come from
+  one prefix sum over the symbols in canonical (length, symbol) order:
+  symbol *i*'s code, left-aligned to ``MAX_BITS`` bits, is the sum of
+  ``2**(MAX_BITS - l_j)`` over the symbols before it, and it owns the
+  next ``2**(MAX_BITS - l_i)`` window entries.  The last sum is the
+  integer Kraft sum.
+* :class:`HuffmanTable` -- vectorized encoding (table gather +
+  :func:`repro.util.bitio.pack_bits`) and one vectorized decoder for
+  every stream size.
 
 **Why the decoder is block-synchronized.**  Huffman decoding is a serial
-bit-chase, which is hopeless in pure Python at MB scale.  We instead record
-the bit offset of every :data:`SYNC_SYMBOLS`-th symbol at encode time (cheap:
-one cumsum) and decode *all blocks simultaneously*: a loop of
-``SYNC_SYMBOLS`` steps where each step gathers the next 12-bit window for
-every block at once with NumPy.  Work is O(total symbols) with the Python
-interpreter cost amortized over the number of blocks, exactly the
-vectorize-the-inner-loop discipline the HPC guides prescribe.  The offsets
-are metadata, charged to the stream like the paper's :math:`\\delta`.
+bit-chase, which is hopeless in pure Python at MB scale.  The encoder
+records the bit offset of every ``sync``-th symbol (cheap: one cumsum),
+and the decoder chases *all blocks at once*, one NumPy lane per block.
+Before chasing, it writes the code length that starts at *every* bit
+offset of the stream into a ``uint8`` table, one byte per stream bit,
+with a zero tail so that a lane running past the end stays put.  Four
+vectorized passes build it; each looks up one ``MAX_BITS + 1``-bit
+window per byte in a table of length pairs and fills two bit phases.  A
+lane step is then one gather and one add, and a stream takes
+``min(sync, n_symbols) - 1`` steps.  At the end, one gather per symbol
+turns the recorded start positions into symbols, and every block's last
+symbol must end inside the stream (so all earlier ones do), or the
+stream is corrupt.  Work is O(stream bits + symbols), done in
+cache-sized slabs, with the interpreter cost amortized over the blocks;
+small streams take the same path.  The offsets are metadata, charged to
+the stream like the paper's :math:`\\delta`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import CodecError
+from repro.compressors.base import CodecError, CorruptionError, TruncationError
 from repro.util.bitio import pack_bits
 from repro.util.varint import decode_uvarint, encode_uvarint
 
@@ -42,9 +56,8 @@ __all__ = [
 MAX_BITS = 12
 SYNC_SYMBOLS = 1024  # upper bound on the sync block size
 _SYNC_MIN = 64
-# Below this symbol count the scalar decoder beats the vectorized one
-# (too few blocks for the vector lanes to amortize interpreter overhead).
-_SCALAR_DECODE_LIMIT = 2048
+# Elements per vectorized decoder pass: keeps each pass's temporaries in cache.
+_SLAB = 1 << 15
 
 
 def choose_sync(n_symbols: int) -> int:
@@ -177,22 +190,34 @@ def _package_merge(
     return lengths
 
 
+def _canonical_layout(
+    lengths: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coded symbols in canonical (length, symbol) order, with their codes.
+
+    Returns ``(order, lens, spans, starts)``: symbol ``order[i]`` has code
+    length ``lens[i]`` and owns the ``spans[i] = 2**(width - lens[i])``
+    left-aligned ``width``-bit words from ``starts[i]`` on.  ``starts`` is
+    the exclusive prefix sum of ``spans``, which makes the codes canonical;
+    ``starts[-1] + spans[-1]`` is the Kraft sum scaled by ``2**width``.
+    """
+    order = np.argsort(lengths, kind="stable")
+    order = order[lengths[order] > 0]
+    lens = lengths[order]
+    spans = np.left_shift(np.int64(1), width - lens)
+    starts = np.cumsum(spans) - spans
+    return order, lens, spans, starts
+
+
 def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codes (increasing by length, then symbol index)."""
     lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    if lengths.max(initial=0) == 0:
+    width = int(lengths.max(initial=0))
+    if width == 0:
         return codes
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    order = order[lengths[order] > 0]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:
-        l = int(lengths[sym])
-        code <<= l - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = l
+    order, lens, _, starts = _canonical_layout(lengths, width)
+    codes[order] = starts >> (width - lens)
     return codes
 
 
@@ -201,22 +226,28 @@ class HuffmanTable:
 
     Encoding gathers per-symbol (code, length) arrays and defers to
     :func:`pack_bits`.  Decoding uses flat lookup tables indexed by the next
-    ``MAX_BITS``-bit window.
+    ``MAX_BITS``-bit window.  Codes are built only when encoding needs
+    them; decode tables when the table is deserialized or first decodes.
     """
 
     def __init__(self, lengths: np.ndarray) -> None:
         self.lengths = np.asarray(lengths, dtype=np.int64)
         if self.lengths.max(initial=0) > MAX_BITS:
             raise ValueError("code length exceeds MAX_BITS")
-        self.codes = canonical_codes(self.lengths)
-        self._dec_sym: np.ndarray | None = None
-        self._dec_len: np.ndarray | None = None
-        self._dec_scalar: list[int] | None = None
+        self._codes: np.ndarray | None = None
+        self._dec: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_frequencies(cls, freqs: np.ndarray) -> "HuffmanTable":
         """Build a table with optimal lengths for ``freqs``."""
         return cls(code_lengths(freqs))
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Canonical codeword of every symbol (``uint64``; 0 if uncoded)."""
+        if self._codes is None:
+            self._codes = canonical_codes(self.lengths)
+        return self._codes
 
     # -- encode ----------------------------------------------------------
 
@@ -242,20 +273,32 @@ class HuffmanTable:
 
     # -- decode ----------------------------------------------------------
 
-    def _build_decode_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._dec_sym is None:
-            n_entries = 1 << MAX_BITS
-            dec_sym = np.zeros(n_entries, dtype=np.int32)
-            dec_len = np.ones(n_entries, dtype=np.int64)
-            for sym in np.flatnonzero(self.lengths):
-                l = int(self.lengths[sym])
-                c = int(self.codes[sym])
-                lo = c << (MAX_BITS - l)
-                hi = (c + 1) << (MAX_BITS - l)
-                dec_sym[lo:hi] = sym
-                dec_len[lo:hi] = l
-            self._dec_sym, self._dec_len = dec_sym, dec_len
-        return self._dec_sym, self._dec_len
+    def _decode_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat decode tables, indexed by the stream bits at a symbol start.
+
+        ``dec_sym[w]`` is the symbol whose code prefixes the ``MAX_BITS``-bit
+        window ``w``.  ``pair_len[v]`` holds two bytes: the code lengths at
+        the first two bit offsets of the ``MAX_BITS + 1``-bit window ``v``
+        (of ``v >> 1``, then of ``v`` masked to ``MAX_BITS`` bits).  A
+        window no code matches (an incomplete code) decodes as symbol 0
+        with length 1.
+        """
+        if self._dec is None:
+            order, lens, spans, starts = _canonical_layout(self.lengths, MAX_BITS)
+            used = int(starts[-1] + spans[-1]) if order.size else 0
+            if used > 1 << MAX_BITS:
+                raise CorruptionError(
+                    "invalid Huffman table: Kraft inequality violated"
+                )
+            dec_sym = np.zeros(1 << MAX_BITS, dtype=np.int32)
+            dec_sym[:used] = np.repeat(order, spans)
+            # pair[h, u] is entry v = h * 2**MAX_BITS + u: byte 0 is the
+            # length of window v >> 1, byte 1 that of window u.
+            pair = np.ones((2, 1 << MAX_BITS, 2), dtype=np.uint8)
+            pair.reshape(-1, 2)[: 2 * used, 0] = np.repeat(lens, 2 * spans)
+            pair[:, :used, 1] = np.repeat(lens, spans)
+            self._dec = (dec_sym, pair.view(np.uint16).reshape(-1))
+        return self._dec
 
     def decode(
         self,
@@ -267,83 +310,72 @@ class HuffmanTable:
         """Decode ``n_symbols`` symbols from ``stream``.
 
         ``offsets`` are the block bit offsets returned by :meth:`encode`
-        (with the same ``sync``).  Returns an ``int32`` symbol array.
+        (with the same ``sync``, any size from 1 up).  Returns an ``int32``
+        symbol array.  Raises :class:`CorruptionError` when the offsets do
+        not fit the stream or a symbol ends past it.
         """
         if n_symbols == 0:
             return np.zeros(0, dtype=np.int32)
         if sync < 1:
-            raise CodecError("invalid sync block size")
-        expected_blocks = (n_symbols + sync - 1) // sync
-        if offsets.size != expected_blocks:
-            raise CodecError("block offset table does not match symbol count")
-        if offsets.size and (
-            int(offsets.min()) < 0 or int(offsets.max()) > 8 * len(stream)
-        ):
-            raise CodecError("block offsets out of range")
-        if n_symbols < _SCALAR_DECODE_LIMIT:
-            # Few blocks to vectorize over; a tight scalar walk is faster
-            # than SYNC_SYMBOLS interpreter-driven vector steps.
-            return self._decode_scalar(stream, n_symbols, int(offsets[0]))
-        dec_sym, dec_len = self._build_decode_tables()
+            raise CorruptionError("invalid sync block size")
+        n_blocks = (n_symbols + sync - 1) // sync
+        if offsets.size != n_blocks:
+            raise CorruptionError("block offset table does not match symbol count")
+        n_bits = 8 * len(stream)
+        if n_symbols > n_bits:
+            raise CorruptionError("more Huffman symbols than stream bits")
+        if int(offsets.min()) < 0 or int(offsets.max()) > n_bits:
+            raise CorruptionError("block offsets out of range")
+        dec_sym, pair_len = self._decode_tables()
 
-        buf = np.frombuffer(stream, dtype=np.uint8)
-        # 24-bit sliding windows anchored at byte k; +4 padding bytes so the
-        # final window gathers stay in bounds.
-        padded = np.zeros(buf.size + 4, dtype=np.uint8)
-        padded[: buf.size] = buf
-        triple = (
-            (padded[:-2].astype(np.uint32) << np.uint32(16))
-            | (padded[1:-1].astype(np.uint32) << np.uint32(8))
-            | padded[2:].astype(np.uint32)
-        )
-        max_pos = 8 * buf.size  # first out-of-stream bit
-        pos = offsets.astype(np.int64).copy()
-
-        n_blocks = pos.size
-        last_count = n_symbols - sync * (n_blocks - 1)
-        out = np.empty((n_blocks, sync), dtype=np.int32)
-        window_shift = np.uint32(24 - MAX_BITS)
-        mask = np.uint32((1 << MAX_BITS) - 1)
-        # All lanes run the full SYNC_SYMBOLS steps; the last (partial) block
-        # decodes harmless padding past its count -- position clamping keeps
-        # every gather in bounds -- and is trimmed below.  This keeps the hot
-        # loop branch-free.
-        for step in range(sync):
-            k = pos >> 3
-            r = (pos & 7).astype(np.uint32)
-            w = (triple[k] >> (window_shift - r)) & mask
-            out[:, step] = dec_sym[w]
-            pos = np.minimum(pos + dec_len[w], max_pos)
-        return np.concatenate([out[:-1].reshape(-1), out[-1, :last_count]])
-
-    def _decode_scalar(
-        self, stream: bytes, n_symbols: int, start_bit: int
-    ) -> np.ndarray:
-        """Serial table-walk decoder for small streams."""
-        if self._dec_scalar is None:
-            dec_sym, dec_len = self._build_decode_tables()
-            # One packed Python-int list: (symbol << 8) | length.
-            self._dec_scalar = (
-                (dec_sym.astype(np.int64) << 8) | dec_len.astype(np.int64)
-            ).tolist()
-        table = self._dec_scalar
-        data = stream + b"\x00\x00\x00"
-        out = np.empty(n_symbols, dtype=np.int32)
-        pos = start_bit
-        shift_base = 24 - MAX_BITS
+        # Big-endian 32-bit window starting at every byte of the stream.
+        buf = np.zeros(len(stream) + 3, dtype=np.uint8)
+        buf[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
+        windows = np.ndarray(
+            (len(stream),), dtype=">u4", buffer=buf, strides=(1,)
+        ).astype(np.int64)
+        # Code length starting at every bit offset, then a zero tail: a
+        # lane that runs past the end (at most MAX_BITS - 1 bits) stays put.
+        # Each pass fills two bit phases of every byte, over cache-sized
+        # slabs of the stream.
         mask = (1 << MAX_BITS) - 1
-        max_bit = 8 * len(stream)
-        for i in range(n_symbols):
-            k = pos >> 3
-            window = (
-                (data[k] << 16) | (data[k + 1] << 8) | data[k + 2]
-            ) >> (shift_base - (pos & 7))
-            entry = table[window & mask]
-            out[i] = entry >> 8
-            pos += entry & 0xFF
-            if pos > max_bit:
-                raise CodecError("Huffman stream exhausted mid-symbol")
-        return out
+        bit_len = np.zeros(n_bits + MAX_BITS, dtype=np.uint8)
+        by_pair = bit_len[:n_bits].view(np.uint16).reshape(-1, 4)
+        for lo in range(0, len(stream), _SLAB):
+            slab = windows[lo : lo + _SLAB]
+            for j in range(4):
+                by_pair[lo : lo + _SLAB, j] = pair_len.take(
+                    (slab >> (31 - MAX_BITS - 2 * j)) & (2 * mask + 1)
+                )
+
+        # Chase every block's lane; row s holds each block's s-th symbol start.
+        steps = min(sync, n_symbols)
+        pos = np.empty((steps, n_blocks), dtype=np.intp)
+        pos[0] = offsets
+        prev = pos[0]
+        for cur in pos[1:]:
+            np.add(prev, bit_len[prev], out=cur)
+            prev = cur
+
+        # Each block's last symbol must end inside the stream; positions
+        # only grow along a lane, so that covers every symbol.
+        last = pos[-1].copy()
+        last[-1] = pos[n_symbols - sync * (n_blocks - 1) - 1, -1]
+        if int(last.max()) >= n_bits or int((last + bit_len[last]).max()) > n_bits:
+            raise CorruptionError("Huffman stream exhausted mid-symbol")
+
+        # Symbols at the recorded starts, a slab of rows at a time, written
+        # block-major.  Rows past the last block's count are decoded (their
+        # positions clipped into the stream) and trimmed.
+        out = np.empty((n_blocks, steps), dtype=np.int32)
+        rows = max(1, _SLAB // n_blocks)
+        for lo in range(0, steps, rows):
+            starts = pos[lo : lo + rows]
+            w = windows.take(starts >> 3, mode="clip")
+            w >>= (32 - MAX_BITS) - (starts & 7)
+            w &= mask
+            out[:, lo : lo + rows] = dec_sym.take(w).T
+        return out.reshape(-1)[:n_symbols]
 
     # -- (de)serialization of the table itself ---------------------------
 
@@ -358,27 +390,29 @@ class HuffmanTable:
     @classmethod
     def deserialize(cls, data: bytes, offset: int = 0) -> tuple["HuffmanTable", int]:
         """Parse a serialized instance; returns ``(obj, next_offset)``."""
-        alphabet, pos = decode_uvarint(data, offset)
+        alphabet, pos = _read_uvarint(data, offset, "Huffman alphabet size")
         n_nibble_bytes = (alphabet + 1) // 2
         raw = np.frombuffer(data[pos : pos + n_nibble_bytes], dtype=np.uint8)
         if raw.size != n_nibble_bytes:
-            raise CodecError("truncated Huffman table")
+            raise TruncationError("truncated Huffman table")
         lengths = np.empty(2 * raw.size, dtype=np.int64)
         lengths[0::2] = raw >> 4
         lengths[1::2] = raw & 0x0F
         lengths = lengths[:alphabet]
-        _check_kraft(lengths)
-        return cls(lengths), pos + n_nibble_bytes
+        if lengths.max(initial=0) > MAX_BITS:
+            raise CorruptionError("Huffman code length exceeds MAX_BITS")
+        table = cls(lengths)
+        table._decode_tables()  # rejects an over-subscribed table
+        return table, pos + n_nibble_bytes
 
 
-def _check_kraft(lengths: np.ndarray) -> None:
-    """Reject length vectors that over-subscribe the code space."""
-    nz = lengths[lengths > 0]
-    if nz.size == 0:
-        return
-    kraft = float((2.0 ** (-nz.astype(np.float64))).sum())
-    if kraft > 1.0 + 1e-9:
-        raise CodecError("invalid Huffman table: Kraft inequality violated")
+def _read_uvarint(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """Decode one uvarint of a symbol block with typed failure."""
+    try:
+        return decode_uvarint(data, pos)
+    except ValueError as exc:
+        kind = TruncationError if "truncated" in str(exc) else CorruptionError
+        raise kind(f"bad {what} at byte {pos}: {exc}", offset=pos) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +428,7 @@ def encode_symbol_block(symbols: np.ndarray, alphabet: int) -> bytes:
         uvarint n_symbols
         [if n_symbols > 0]
         table (uvarint alphabet + nibble-packed code lengths)
+        uvarint sync block size
         uvarint n_blocks, delta-uvarint block bit offsets
         uvarint stream length, stream bytes
     """
@@ -421,25 +456,32 @@ def encode_symbol_block(symbols: np.ndarray, alphabet: int) -> bytes:
 
 def decode_symbol_block(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Inverse of :func:`encode_symbol_block`; returns ``(symbols, next_offset)``."""
-    n, pos = decode_uvarint(data, offset)
+    n, pos = _read_uvarint(data, offset, "symbol count")
     if n == 0:
         return np.zeros(0, dtype=np.int32), pos
     table, pos = HuffmanTable.deserialize(data, pos)
-    sync, pos = decode_uvarint(data, pos)
+    sync, pos = _read_uvarint(data, pos, "sync block size")
     if not 1 <= sync <= SYNC_SYMBOLS:
-        raise CodecError("corrupt sync block size")
-    n_blocks, pos = decode_uvarint(data, pos)
-    offsets = np.empty(n_blocks, dtype=np.int64)
+        raise CorruptionError("corrupt sync block size")
+    n_blocks, pos = _read_uvarint(data, pos, "block count")
+    # Every offset takes at least one byte: refuse counts the data cannot hold.
+    if n_blocks > len(data) - pos:
+        raise TruncationError("Huffman block offset table truncated", offset=pos)
+    offsets = []
     acc = 0
-    for i in range(n_blocks):
-        delta, pos = decode_uvarint(data, pos)
+    for _ in range(n_blocks):
+        delta, pos = _read_uvarint(data, pos, "block offset")
         acc += delta
-        offsets[i] = acc
-    stream_len, pos = decode_uvarint(data, pos)
+        offsets.append(acc)
+    stream_len, pos = _read_uvarint(data, pos, "stream length")
     stream = data[pos : pos + stream_len]
     if len(stream) != stream_len:
-        raise CodecError("truncated Huffman stream")
-    return table.decode(stream, n, offsets, sync), pos + stream_len
+        raise TruncationError("truncated Huffman stream", offset=pos)
+    # Offsets only grow, so bounding the last bounds them all.
+    if acc > 8 * stream_len:
+        raise CorruptionError("block offsets out of range", offset=pos)
+    offsets_arr = np.array(offsets, dtype=np.int64)
+    return table.decode(stream, n, offsets_arr, sync), pos + stream_len
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors import CodecError, get_codec
+from repro.compressors import CodecError, get_codec, huffman
+from repro.compressors.base import CorruptionError, TruncationError
 from repro.compressors.huffman import (
     MAX_BITS,
     SYNC_SYMBOLS,
@@ -17,6 +18,72 @@ from repro.compressors.huffman import (
     decode_symbol_block,
     encode_symbol_block,
 )
+from repro.util.varint import encode_uvarint
+
+
+def reference_codes(lengths: np.ndarray) -> list[int]:
+    """Canonical codes by the textbook walk: sorted by (length, symbol),
+    each code is the previous one plus one, shifted to its length."""
+    codes = [0] * lengths.size
+    code, prev_len = 0, 0
+    for sym in sorted(np.flatnonzero(lengths).tolist(), key=lambda s: (lengths[s], s)):
+        code <<= int(lengths[sym]) - prev_len
+        codes[sym] = code
+        code += 1
+        prev_len = int(lengths[sym])
+    return codes
+
+
+def reference_decode(
+    lengths: np.ndarray,
+    stream: bytes,
+    n_symbols: int,
+    offsets: np.ndarray,
+    sync: int,
+) -> np.ndarray:
+    """Serial table-walk decoder: the oracle for :meth:`HuffmanTable.decode`.
+
+    Walks every sync block from its own stored offset through a flat
+    ``MAX_BITS``-bit window table (a window no code matches decodes as
+    symbol 0 with length 1) and raises :class:`CodecError` as soon as a
+    symbol ends past the stream, so it agrees with the vectorized decoder
+    on corrupted bits too.
+    """
+    if n_symbols == 0:
+        return np.zeros(0, dtype=np.int32)
+    if sync < 1:
+        raise CodecError("invalid sync block size")
+    if offsets.size != (n_symbols + sync - 1) // sync:
+        raise CodecError("block offset table does not match symbol count")
+    max_bit = 8 * len(stream)
+    if n_symbols > max_bit:
+        raise CodecError("more Huffman symbols than stream bits")
+    if int(offsets.min()) < 0 or int(offsets.max()) > max_bit:
+        raise CodecError("block offsets out of range")
+    codes = reference_codes(lengths)
+    table = [1] * (1 << MAX_BITS)  # (symbol << 8) | length
+    for sym in np.flatnonzero(lengths).tolist():
+        length = int(lengths[sym])
+        lo = codes[sym] << (MAX_BITS - length)
+        hi = (codes[sym] + 1) << (MAX_BITS - length)
+        table[lo:hi] = [(sym << 8) | length] * (hi - lo)
+    data = stream + b"\x00\x00\x00"
+    shift_base = 24 - MAX_BITS
+    mask = (1 << MAX_BITS) - 1
+    out = np.empty(n_symbols, dtype=np.int32)
+    for block, start in enumerate(offsets.tolist()):
+        pos = start
+        for i in range(block * sync, min((block + 1) * sync, n_symbols)):
+            k = pos >> 3
+            window = (
+                (data[k] << 16) | (data[k + 1] << 8) | data[k + 2]
+            ) >> (shift_base - (pos & 7))
+            entry = table[window & mask]
+            out[i] = entry >> 8
+            pos += entry & 0xFF
+            if pos > max_bit:
+                raise CodecError("Huffman stream exhausted mid-symbol")
+    return out
 
 
 class TestCodeLengths:
@@ -95,6 +162,12 @@ class TestCanonicalCodes:
     def test_all_zero_lengths(self):
         assert canonical_codes(np.zeros(10, np.int64)).sum() == 0
 
+    @given(st.lists(st.integers(0, 10000), min_size=1, max_size=300))
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_reference_walk(self, freq_list):
+        lengths = code_lengths(np.array(freq_list, dtype=np.int64))
+        assert canonical_codes(lengths).tolist() == reference_codes(lengths)
+
 
 class TestHuffmanTableRoundtrip:
     @pytest.mark.parametrize(
@@ -136,13 +209,112 @@ class TestHuffmanTableRoundtrip:
             table.decode(stream, 100, offsets[:-1] if offsets.size > 1 else np.array([99999]))
 
     def test_kraft_violation_rejected_on_deserialize(self):
-        from repro.util.varint import encode_uvarint
-
         lengths = np.ones(256, dtype=np.uint8)  # 256 one-bit codes: invalid
         nibbles = (lengths[0::2] << 4) | lengths[1::2]
         blob = encode_uvarint(256) + nibbles.tobytes()
         with pytest.raises(CodecError, match="Kraft"):
             HuffmanTable.deserialize(blob)
+
+    def test_barely_oversubscribed_table_rejected(self):
+        # Kraft sum 1 + 2**-12, the smallest over-subscription there is.
+        lengths = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12, 12])
+        table = HuffmanTable(lengths)
+        with pytest.raises(CodecError, match="Kraft"):
+            HuffmanTable.deserialize(table.serialize())
+
+    def test_code_length_nibble_over_max_bits_rejected(self):
+        blob = encode_uvarint(2) + bytes([0x1D])  # lengths 1 and 13
+        with pytest.raises(CorruptionError, match="MAX_BITS"):
+            HuffmanTable.deserialize(blob)
+
+    def test_decoding_never_builds_codes(self, monkeypatch):
+        symbols = np.arange(3000) % 37
+        blob = encode_symbol_block(symbols, 256)
+
+        def no_codes(lengths):
+            raise AssertionError("canonical codes built on the decode path")
+
+        monkeypatch.setattr(huffman, "canonical_codes", no_codes)
+        out, _ = decode_symbol_block(blob)
+        assert np.array_equal(out, symbols)
+
+
+@st.composite
+def coded_streams(draw):
+    """A table, symbols that use every kind of code, and an encoding.
+
+    Tables come from random frequencies over 1-300 symbols, from
+    exponentially skewed frequencies (codes up to ``MAX_BITS`` long), or
+    are incomplete codes built by hand (Kraft sum below one).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "skewed", "incomplete"]))
+    if kind == "skewed":
+        alphabet = max(alphabet, 16)
+        freqs = np.left_shift(1, np.minimum(np.arange(alphabet), 40))
+        lengths = code_lengths(rng.permutation(freqs))
+        assert lengths.max() == MAX_BITS
+    else:
+        lengths = code_lengths(rng.integers(0, 1000, alphabet) + (kind == "incomplete"))
+        if kind == "incomplete":
+            coded = np.flatnonzero(lengths)
+            if coded.size > 1:
+                lengths[rng.choice(coded, rng.integers(1, coded.size), replace=False)] = 0
+            lengths[lengths > 0] += rng.integers(0, 2, int((lengths > 0).sum()))
+            lengths = np.minimum(lengths, MAX_BITS)
+            assert (np.left_shift(1, MAX_BITS - lengths[lengths > 0])).sum() < 1 << MAX_BITS
+    coded = np.flatnonzero(lengths)
+    if coded.size == 0:
+        lengths[int(rng.integers(alphabet))] = 1
+        coded = np.flatnonzero(lengths)
+    n = draw(st.integers(1, 6000))
+    sync = draw(st.integers(1, SYNC_SYMBOLS))
+    symbols = rng.choice(coded, n)
+    table = HuffmanTable(lengths)
+    stream, offsets = table.encode(symbols, sync)
+    return lengths, symbols, sync, stream, offsets
+
+
+class TestDecoderMatchesReference:
+    @given(
+        coded_streams(),
+        st.lists(st.integers(0, 2**31), max_size=4),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_equal_or_both_raise(self, case, flips, cut):
+        lengths, symbols, sync, stream, offsets = case
+        damaged = bytearray(stream)
+        for bit in flips:
+            bit %= 8 * len(damaged)
+            damaged[bit >> 3] ^= 0x80 >> (bit & 7)
+        damaged = bytes(damaged[: len(damaged) - cut])
+        try:
+            expected = reference_decode(lengths, damaged, symbols.size, offsets, sync)
+        except CodecError:
+            with pytest.raises(CodecError):
+                HuffmanTable(lengths).decode(damaged, symbols.size, offsets, sync)
+            return
+        out = HuffmanTable(lengths).decode(damaged, symbols.size, offsets, sync)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, expected)
+        if not flips and not cut:
+            assert np.array_equal(out, symbols)
+
+
+class TestTruncatedStreams:
+    @pytest.mark.parametrize("sync", [64, 1024])
+    @pytest.mark.parametrize("n", [1500, 5000, 50000])
+    def test_cut_stream_raises(self, n, sync):
+        rng = np.random.default_rng(n + sync)
+        symbols = rng.integers(0, 256, n)
+        table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=256))
+        stream, offsets = table.encode(symbols, sync)
+        cut = stream[:-3]
+        assert int(offsets.max()) <= 8 * len(cut)  # the offset check passes
+        with pytest.raises(CodecError, match="exhausted"):
+            table.decode(cut, n, offsets, sync)
 
 
 class TestSymbolBlocks:
@@ -165,8 +337,60 @@ class TestSymbolBlocks:
 
     def test_truncated_stream_rejected(self):
         blob = encode_symbol_block(np.arange(100) % 9, 256)
-        with pytest.raises((CodecError, ValueError)):
+        with pytest.raises(TruncationError):
             decode_symbol_block(blob[: len(blob) - 5])
+
+
+def _encoded_blocks() -> list[bytes]:
+    rng = np.random.default_rng(13)
+    return [
+        encode_symbol_block(rng.integers(0, 256, 40), 256),  # one sync block
+        encode_symbol_block(rng.zipf(1.6, 2500).clip(0, 255), 256),  # 40 blocks
+        encode_symbol_block(rng.integers(0, 300, 400), 300),  # alphabet > 256
+    ]
+
+
+class TestSymbolBlockCorruption:
+    def test_flips_and_truncations_raise_only_codec_errors(self):
+        for blob in _encoded_blocks():
+            damaged = [blob[:cut] for cut in range(len(blob))]
+            for i in range(len(blob)):
+                for flip in (0x01, 0x80, 0xFF):
+                    raw = bytearray(blob)
+                    raw[i] ^= flip
+                    damaged.append(bytes(raw))
+            for data in damaged:
+                try:
+                    decode_symbol_block(data)
+                except CodecError:
+                    pass
+
+    @staticmethod
+    def _block(n_blocks: int, offset: int) -> bytes:
+        """A 10-symbol block with the given offset-table header fields."""
+        table = HuffmanTable.from_frequencies(np.ones(4, dtype=np.int64))
+        stream, _ = table.encode(np.arange(10) % 4, 64)
+        return (
+            encode_uvarint(10)
+            + table.serialize()
+            + encode_uvarint(64)
+            + encode_uvarint(n_blocks)
+            + encode_uvarint(offset)
+            + encode_uvarint(len(stream))
+            + stream
+        )
+
+    def test_valid_header_decodes(self):
+        out, _ = decode_symbol_block(self._block(1, 0))
+        assert np.array_equal(out, np.arange(10) % 4)
+
+    def test_huge_block_count_rejected_before_allocating(self):
+        with pytest.raises(TruncationError):
+            decode_symbol_block(self._block(1 << 62, 0))
+
+    def test_huge_offset_rejected(self):
+        with pytest.raises(CorruptionError, match="offsets out of range"):
+            decode_symbol_block(self._block(1, 1 << 63))
 
 
 class TestHuffmanCodec:
