@@ -15,15 +15,30 @@ Long literal runs cost 1-2 bytes regardless of length (unlike classic
 LZRW1's 16-bit control words, which charge 12.5 % on incompressible
 data), so weakly-compressible scientific data keeps its small wins.
 Matches are 3..18 bytes within a 4 KiB window.  A stored-block escape
-bounds worst-case expansion; the decoder's loop runs once per record,
-not per byte.
+bounds worst-case expansion.
+
+Neither side loops per byte.  The encoder builds two per-position tables
+with NumPy, the 3-byte hashes and the 4-byte little-endian words, and
+reads them one visited position at a time.  One word compare accepts or
+rejects the hash candidate, and the match length is the lowest differing
+byte of two at most 14-byte integers.  The decoder makes one pass over
+the records into a preallocated output.  A record spends at least 3 bytes
+for at most 18 output bytes, so a size header promising more than 6x the
+body is rejected before anything is allocated.  Damage raises
+:class:`~repro.compressors.base.TruncationError` or
+:class:`~repro.compressors.base.CorruptionError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Codec, CodecError, register_codec
+from repro.compressors.base import (
+    Codec,
+    CorruptionError,
+    TruncationError,
+    register_codec,
+)
 from repro.util.varint import decode_uvarint, encode_uvarint
 
 __all__ = ["LzrwCodec"]
@@ -39,12 +54,32 @@ _MAX_MATCH = 18
 _PROFITABLE_MATCH = 4  # shorter matches do not pay for their 2 + ~1 bytes
 
 
-def _hash3(data: bytes) -> list[int]:
-    """Vectorized 3-byte hash for positions ``0 .. len(data) - 3``."""
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-    u24 = arr[:-2] | (arr[1:-1] << np.uint32(8)) | (arr[2:] << np.uint32(16))
-    h = (u24 * np.uint32(2654435761)) >> np.uint32(32 - _HASH_BITS)
-    return h.tolist()
+def _tables(data: bytes) -> tuple[memoryview, memoryview]:
+    """Vectorized per-position tables: the 4-byte little-endian word and the
+    hash of the 3 bytes at each position ``0 .. n - 3``.
+
+    The word at ``n - 3`` reads one zero pad byte, which no hash sees and
+    no match compares.  Both tables are returned as memoryviews, which hand
+    out Python ints one index at a time, so the scan converts only the
+    positions it visits.
+    """
+    # One unaligned 4-byte load per position, from an overlapping view.
+    shape = (max(len(data) - 2, 0),)
+    words = np.ndarray(shape, "<u4", data + b"\0", strides=(1,)).copy()
+    hashes = words & np.uint32(0xFFFFFF)
+    hashes *= np.uint32(2654435761)
+    hashes >>= np.uint32(32 - _HASH_BITS)
+    return memoryview(hashes), memoryview(words)
+
+
+def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    """:func:`decode_uvarint` with its failures raised as typed damage."""
+    try:
+        return decode_uvarint(data, pos)
+    except ValueError as exc:
+        # A uvarint is at most 10 bytes long: with fewer left, it ran out.
+        error = TruncationError if len(data) - pos < 10 else CorruptionError
+        raise error(f"bad lzrw uvarint: {exc}") from exc
 
 
 @register_codec
@@ -68,41 +103,47 @@ class LzrwCodec(Codec):
     @staticmethod
     def _compress_body(data: bytes) -> bytes:
         n = len(data)
-        hashes = _hash3(data) if n >= _MIN_MATCH else []
-        n_hash = len(hashes)
-        table = [-1] * _HASH_SIZE
-
+        hashes, words = _tables(data)
+        # Empty slots hold a position beyond every window's reach.
+        table = [-_WINDOW - 1] * _HASH_SIZE
         out = bytearray()
+        append = out.append
+        from_bytes = int.from_bytes
         run_start = 0
         i = 0
         miss = 0
         limit = n - _PROFITABLE_MATCH
         while i <= limit:
-            # Scan acceleration: after a long miss streak, probe sparsely.
-            step = 1 + (miss >> 6)
             hv = hashes[i]
             cand = table[hv]
             table[hv] = i
-            if cand >= 0 and i - cand <= _WINDOW:
-                max_len = min(_MAX_MATCH, n - i)
-                l = 0
-                while l < max_len and data[cand + l] == data[i + l]:
-                    l += 1
-                if l >= _PROFITABLE_MATCH:
-                    out += encode_uvarint(i - run_start)
+            # Equal words are exactly the matches of a profitable length.
+            if i - cand <= _WINDOW and words[cand] == words[i]:
+                length = n - i if n - i < _MAX_MATCH else _MAX_MATCH
+                # The rest of the match ends at its lowest differing byte.
+                rest = from_bytes(data[cand + 4 : cand + length], "little")
+                diff = rest ^ from_bytes(data[i + 4 : i + length], "little")
+                if diff:
+                    length = 4 + (((diff & -diff).bit_length() - 1) >> 3)
+                run = i - run_start
+                if run < 0x80:
+                    append(run)
+                else:
+                    out += encode_uvarint(run)
+                if run:
                     out += data[run_start:i]
-                    packed = ((l - _MIN_MATCH) << 12) | (i - cand)
-                    out.append(packed >> 8)
-                    out.append(packed & 0xFF)
-                    # Seed a couple of positions inside the match.
-                    if i + 1 < n_hash:
-                        table[hashes[i + 1]] = i + 1
-                    i += l
-                    run_start = i
-                    miss = 0
-                    continue
+                packed = ((length - _MIN_MATCH) << 12) | (i - cand)
+                append(packed >> 8)
+                append(packed & 0xFF)
+                # Seed the next position too (it has a hash: i + 1 < n - 2).
+                table[hashes[i + 1]] = i + 1
+                i += length
+                run_start = i
+                miss = 0
+                continue
+            # Scan acceleration: after a long miss streak, probe sparsely.
+            i += 1 + (miss >> 6)
             miss += 1
-            i += step
 
         out += encode_uvarint(n - run_start)
         out += data[run_start:]
@@ -110,50 +151,68 @@ class LzrwCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        n, pos = decode_uvarint(data, 0)
+        n, pos = _read_uvarint(data, 0)
         if n == 0:
             return b""
         if pos >= len(data):
-            raise CodecError("truncated lzrw stream")
+            raise TruncationError("truncated lzrw stream")
         mode = data[pos]
         pos += 1
         if mode == _MODE_RAW:
             raw = data[pos : pos + n]
             if len(raw) != n:
-                raise CodecError("truncated stored block")
+                raise TruncationError("truncated stored block")
             return raw
         if mode != _MODE_COMPRESSED:
-            raise CodecError(f"unknown lzrw mode {mode}")
+            raise CorruptionError(f"unknown lzrw mode {mode}")
         return self._decompress_body(data, pos, n)
 
     @staticmethod
     def _decompress_body(data: bytes, pos: int, n: int) -> bytes:
-        out = bytearray()
         total = len(data)
-        while len(out) < n:
-            run, pos = decode_uvarint(data, pos)
-            if run:
-                if pos + run > total or len(out) + run > n:
-                    raise CodecError("truncated lzrw literal run")
-                out += data[pos : pos + run]
-                pos += run
-            if len(out) >= n:
-                break
-            if pos + 2 > total:
-                raise CodecError("truncated lzrw match")
-            packed = (data[pos] << 8) | data[pos + 1]
-            pos += 2
-            length = (packed >> 12) + _MIN_MATCH
-            offset = packed & 0x0FFF
-            if offset == 0 or offset > len(out):
-                raise CodecError("invalid lzrw match offset")
-            start = len(out) - offset
-            if offset >= length:
-                out += out[start : start + length]
-            else:
-                chunk = bytes(out[start:])
-                q, rem = divmod(length, offset)
-                out += chunk * q + chunk[:rem]
-        if len(out) != n:
-            raise CodecError("lzrw output size mismatch")
+        # A record spends at least 3 bytes (run length and match) for at
+        # most 18 output bytes, and a final literal run spends more than it
+        # yields, so no well-formed body promises more than 6x its size.
+        if n > 6 * (total - pos):
+            raise TruncationError("lzrw body too short for its size header")
+        out = bytearray(n)
+        o = 0
+        with memoryview(out) as view:
+            while o < n:
+                if pos >= total:
+                    raise TruncationError("truncated lzrw record")
+                run = data[pos]
+                if run < 0x80:
+                    pos += 1
+                else:
+                    run, pos = _read_uvarint(data, pos)
+                if run:
+                    end = o + run
+                    if pos + run > total:
+                        raise TruncationError("truncated lzrw literal run")
+                    if end > n:
+                        raise CorruptionError("lzrw literal run overruns the output")
+                    view[o:end] = data[pos : pos + run]
+                    pos += run
+                    o = end
+                    if o == n:
+                        break
+                if pos + 2 > total:
+                    raise TruncationError("truncated lzrw match")
+                packed = (data[pos] << 8) | data[pos + 1]
+                pos += 2
+                length = (packed >> 12) + _MIN_MATCH
+                offset = packed & 0x0FFF
+                if offset == 0 or offset > o:
+                    raise CorruptionError("invalid lzrw match offset")
+                end = o + length
+                if end > n:
+                    raise CorruptionError("lzrw match overruns the output")
+                start = o - offset
+                if offset >= length:
+                    view[o:end] = view[start : start + length]
+                else:
+                    # An overlapping copy repeats the last ``offset`` bytes.
+                    view[o:end] = (out[start:o] * (length // offset + 1))[:length]
+                o = end
         return bytes(out)

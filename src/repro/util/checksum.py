@@ -7,8 +7,12 @@ compression substrate is built from scratch in this reproduction.
 
 CRC-32 uses the standard reflected polynomial ``0xEDB88320`` with an 8-bit
 lookup table; the byte loop is the only scalar part and runs over table
-lookups gathered with NumPy in blocks.  Adler-32 is expressed with prefix
-sums, fully vectorized.
+lookups gathered with NumPy in blocks.  Adler-32 uses its closed form over
+4,096-byte blocks: one float64 matrix-vector product per 64 KiB slab gives
+every block's weighted byte sum.  That is exact, because a block's
+weighted sum is at most ``255 * 4096 * 4097 / 2 < 2**53``, and the slab
+sums are combined in integers, so temporaries stay at ~0.5 MB for any
+input size.
 """
 
 from __future__ import annotations
@@ -50,27 +54,45 @@ def crc32(data: bytes | np.ndarray, value: int = 0) -> int:
 
 
 _ADLER_MOD = 65521
-# Largest block length for which the uint64 accumulators cannot overflow:
-# worst case sum grows as 255 * n * (n + 1) / 2 + n * 65520.
-_ADLER_BLOCK = 1 << 20
+#: Bytes per block.  A block's weighted sum is at most
+#: 255 * 4096 * 4097 / 2 < 2**53, so float64 holds it exactly.
+_ADLER_BLOCK = 4096
+#: Blocks are summed one 64 KiB slab at a time: the slab's float64 copy
+#: (512 KiB) is the only temporary, whatever the input size.
+_ADLER_SLAB = 16 * _ADLER_BLOCK
+#: Weight of byte ``j`` of a block: ``_ADLER_BLOCK - j``.
+_ADLER_WEIGHTS = np.arange(_ADLER_BLOCK, 0.0, -1)
+#: Bytes that follow each block of a full slab, up to the slab's end.
+_ADLER_AFTER = np.arange(_ADLER_SLAB - _ADLER_BLOCK, -1.0, -_ADLER_BLOCK)
 
 
 def adler32(data: bytes | np.ndarray, value: int = 1) -> int:
     """Compute the Adler-32 of ``data`` (same parameters as zlib's adler32).
 
     Vectorized via the closed form: with ``a0``/``b0`` the incoming state and
-    ``x`` the block bytes, ``a = a0 + sum(x)`` and
-    ``b = b0 + n*a0 + sum((n - i) * x[i])``.
+    ``x`` the ``n`` input bytes, ``a = a0 + sum(x)`` and
+    ``b = b0 + n*a0 + sum((n - i) * x[i])``, both mod 65521.  Each slab's
+    blocks are summed, and weighted by one float64 matrix-vector product
+    with :data:`_ADLER_WEIGHTS`; the slab's sums stay below
+    ``255 * 65536 * 65537 / 2 < 2**53``, so they are exact, and slabs are
+    combined in Python integers.
     """
     buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data, dtype=np.uint8).ravel()
-    a = value & 0xFFFF
-    b = (value >> 16) & 0xFFFF
-    for start in range(0, buf.size, _ADLER_BLOCK):
-        block = buf[start : start + _ADLER_BLOCK].astype(np.uint64)
-        n = block.size
-        weights = np.arange(n, 0, -1, dtype=np.uint64)
-        s1 = int(block.sum())
-        s2 = int((block * weights).sum())
+    a = (value & 0xFFFF) % _ADLER_MOD
+    b = ((value >> 16) & 0xFFFF) % _ADLER_MOD
+    work = np.empty(min(_ADLER_SLAB, -(-buf.size // _ADLER_BLOCK) * _ADLER_BLOCK))
+    for start in range(0, buf.size, _ADLER_SLAB):
+        slab = buf[start : start + _ADLER_SLAB]
+        n = slab.size
+        # Zeros in front of a short slab add nothing to either sum and keep
+        # every byte's distance to the slab's end.
+        blocks = work[: -(-n // _ADLER_BLOCK) * _ADLER_BLOCK]
+        blocks[: blocks.size - n] = 0.0
+        blocks[blocks.size - n :] = slab
+        rows = blocks.reshape(-1, _ADLER_BLOCK)
+        sums = rows.sum(axis=1)
+        s1 = int(sums.sum())
+        s2 = int((rows @ _ADLER_WEIGHTS).sum() + sums @ _ADLER_AFTER[-len(sums) :])
         b = (b + n * a + s2) % _ADLER_MOD
         a = (a + s1) % _ADLER_MOD
     return (b << 16) | a

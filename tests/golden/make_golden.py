@@ -8,7 +8,10 @@ against today's decoder.
 
 Everything here is deterministic: fixed seeds, fixed configs, pure-
 Python codecs.  The CORRELATED index policy is chosen to pin the
-trickiest decode path (index-reuse chains with extensions).
+trickiest decode path (index-reuse chains with extensions).  The planned
+container pins planned records (flag 0x02) and the ``pylzo`` stream
+bytes: its static-calibration planner sends chunks to ``pyzlib/hb2``,
+``pylzo/hb1`` and ``pylzo/hb2``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ DATA_DIR = Path(__file__).parent / "data"
 PRIF_PATH = DATA_DIR / "golden.prif"
 PRCK_PATH = DATA_DIR / "golden.prck"
 PAYLOAD_PATH = DATA_DIR / "golden_payload.bin"
+PLANNED_PATH = DATA_DIR / "golden_planned.pri"
+PLANNED_PAYLOAD_PATH = DATA_DIR / "golden_planned_payload.bin"
 
 #: Seed honoring the paper's publication year.
 SEED = 2012
@@ -32,6 +37,25 @@ PRIF_CONFIG = PrimacyConfig(
     index_policy=IndexReusePolicy.CORRELATED,
 )
 PRCK_CONFIG = PrimacyConfig(chunk_bytes=4096)
+PLANNED_CONFIG = PrimacyConfig(codec="pyzlib", chunk_bytes=8192)
+#: The six perfbench variables, one 8 KiB chunk each.
+PLANNED_DATASETS = (
+    "obs_temp",
+    "msg_sppm",
+    "num_plasma",
+    "gts_phi_l",
+    "flash_velx",
+    "msg_bt",
+)
+#: The planner's per-chunk decisions, in chunk order.
+PLANNED_LABELS = (
+    "pyzlib/hb2/col",
+    "pylzo/hb1/col",
+    "pylzo/hb1/col",
+    "pyzlib/hb2/col",
+    "pylzo/hb2/col",
+    "pyzlib/hb2/col",
+)
 
 
 def payload_bytes() -> bytes:
@@ -51,6 +75,26 @@ def checkpoint_arrays() -> dict[int, dict[str, np.ndarray]]:
         0: {"temp": temp0, "vel": vel0},
         1: {"temp": temp0 + 0.5, "vel": (vel0 * 2.0).astype("<f4")},
     }
+
+
+def planned_payload_bytes() -> bytes:
+    """Six 8 KiB float64 chunks, one per dataset."""
+    from repro.datasets import generate_bytes
+
+    return b"".join(
+        generate_bytes(name, PLANNED_CONFIG.chunk_bytes // 8, seed=SEED)
+        for name in PLANNED_DATASETS
+    )
+
+
+def build_planned(payload: bytes) -> tuple[bytes, list[str]]:
+    """The planned container of ``payload`` and the planner's decisions."""
+    from repro.planner.candidates import PlannerConfig
+    from repro.planner.compressor import PlannedCompressor
+
+    with PlannedCompressor(PlannerConfig(base=PLANNED_CONFIG), workers=1) as planned:
+        container, _ = planned.compress(payload)
+        return container, [d.candidate.label for d in planned.last_decisions]
 
 
 def build_prif(path: Path) -> None:
@@ -73,7 +117,11 @@ def main() -> None:
     PAYLOAD_PATH.write_bytes(payload_bytes())
     build_prif(PRIF_PATH)
     build_prck(PRCK_PATH)
-    for p in (PAYLOAD_PATH, PRIF_PATH, PRCK_PATH):
+    PLANNED_PAYLOAD_PATH.write_bytes(planned_payload_bytes())
+    container, labels = build_planned(PLANNED_PAYLOAD_PATH.read_bytes())
+    assert tuple(labels) == PLANNED_LABELS, labels
+    PLANNED_PATH.write_bytes(container)
+    for p in (PAYLOAD_PATH, PRIF_PATH, PRCK_PATH, PLANNED_PAYLOAD_PATH, PLANNED_PATH):
         print(f"wrote {p} ({p.stat().st_size} bytes)")
 
 

@@ -87,3 +87,39 @@ class TestPrckGolden:
         from repro.storage.verify import fsck
 
         assert fsck(gold.PRCK_PATH).ok
+
+
+class TestPlannedGolden:
+    """Planned records (flag 0x02) and the ``pylzo`` stream bytes."""
+
+    @pytest.fixture(scope="class")
+    def planned_payload(self) -> bytes:
+        return gold.PLANNED_PAYLOAD_PATH.read_bytes()
+
+    def test_decodes_byte_exactly(self, planned_payload):
+        from repro.core.primacy import PrimacyCompressor
+
+        container = gold.PLANNED_PATH.read_bytes()
+        assert PrimacyCompressor().decompress(container) == planned_payload
+
+    def test_records_keep_the_pinned_decisions(self):
+        from repro.core.primacy import iter_container_records, parse_container_header
+        from repro.planner.candidates import Candidate
+        from repro.planner.record import is_planned_record, parse_planned_header
+
+        container = gold.PLANNED_PATH.read_bytes()
+        labels = []
+        for record in iter_container_records(
+            container, parse_container_header(container)
+        ):
+            assert is_planned_record(record)
+            codec, high_bytes, linearization, _ = parse_planned_header(record)
+            labels.append(Candidate(codec, high_bytes, linearization).label)
+        assert tuple(labels) == gold.PLANNED_LABELS
+        # The corpus must keep pinning both pylzo split widths and pyzlib.
+        assert {"pylzo/hb1/col", "pylzo/hb2/col", "pyzlib/hb2/col"} <= set(labels)
+
+    def test_reencode_is_byte_identical(self, planned_payload):
+        container, labels = gold.build_planned(planned_payload)
+        assert tuple(labels) == gold.PLANNED_LABELS
+        assert container == gold.PLANNED_PATH.read_bytes()

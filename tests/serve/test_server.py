@@ -10,6 +10,7 @@ payloads and garbage streams, and the HTTP shim's status mapping.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import urllib.error
@@ -17,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro.compressors.lzrw import LzrwCodec
 from repro.core.primacy import PrimacyCompressor
 from repro.serve.daemon import ServeConfig
 from repro.serve.protocol import (
@@ -27,6 +29,7 @@ from repro.serve.protocol import (
     Status,
     response_assembler,
 )
+from repro.util.varint import encode_uvarint
 
 from tests.serve.conftest import BASE_CONFIG
 from tests.serve.harness import ServerHarness, reference_compress
@@ -90,6 +93,34 @@ def test_corrupt_container_is_typed_corrupt(server, payload):
         with pytest.raises(ServeError) as err:
             client.decompress(bytes(container))
     assert err.value.status is Status.CORRUPT
+
+
+def test_pylzo_stream_claiming_too_much_is_corrupt(server, payload, monkeypatch):
+    # A client-supplied pylzo stream may promise any output size; the
+    # decoder must refuse it as damage, not allocate it.
+    streams: list[bytes] = []
+    real_compress = LzrwCodec.compress
+
+    def keep(codec, data):
+        streams.append(real_compress(codec, data))
+        return streams[-1]
+
+    monkeypatch.setattr(LzrwCodec, "compress", keep)
+    config = dataclasses.replace(BASE_CONFIG, codec="pylzo")
+    container = bytearray(PrimacyCompressor(config).compress(payload)[0])
+    monkeypatch.undo()
+    stream = max(streams, key=len)
+    at = container.find(stream)
+    assert at >= 0
+    # Same length, so no length field moves: 2**40 bytes from a short body.
+    claim = encode_uvarint(2**40) + bytes([1])
+    container[at : at + len(stream)] = claim + bytes(len(stream) - len(claim))
+    with server.client() as client:
+        with pytest.raises(ServeError) as err:
+            client.decompress(bytes(container))
+        assert err.value.status is Status.CORRUPT
+        # The daemon keeps serving.
+        assert client.decompress(client.compress(payload, config=RC)) == payload
 
 
 def test_unknown_codec_is_bad_request(server, payload):

@@ -38,7 +38,14 @@ class TestCrc32:
 class TestAdler32:
     @pytest.mark.parametrize(
         "data",
-        [b"", b"a", b"Wikipedia", bytes(range(256)) * 10, b"\xff" * 100000],
+        [
+            b"",
+            b"a",
+            b"Wikipedia",
+            bytes(range(256)) * 10,
+            b"\xff" * 100000,
+            b"\xff" * (3 << 20),  # the largest sum every block can reach
+        ],
     )
     def test_matches_zlib(self, data):
         assert adler32(data) == zlib.adler32(data)
@@ -59,3 +66,23 @@ class TestAdler32:
     @settings(max_examples=100, deadline=None)
     def test_property_matches_zlib(self, data):
         assert adler32(data) == zlib.adler32(data)
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 4095, 4096, 4097, 65535, 65536, 65537, (1 << 20) + 17],
+    )
+    @pytest.mark.parametrize(
+        "value", [0, 1, 0xFFF0FFF0, 0xFFF1FFF1, 0xFFFFFFFF]
+    )
+    def test_block_and_slab_edges(self, size, value):
+        # Sizes around the 4,096-byte block and the 64 KiB slab, from
+        # every kind of incoming state, reduced or not.
+        data = np.random.default_rng(size).integers(
+            0, 256, size, dtype=np.uint8
+        ).tobytes()
+        assert adler32(data, value) == zlib.adler32(data, value)
+
+    def test_ndarray_input(self):
+        arr = np.random.default_rng(5).integers(0, 256, 70000, dtype=np.uint8)
+        assert adler32(arr) == zlib.adler32(arr.tobytes())
+        assert adler32(arr.reshape(7, 10000)) == zlib.adler32(arr.tobytes())
