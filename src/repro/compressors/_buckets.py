@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import CodecError
+from repro.compressors.base import CodecError, TruncationError, checked_uvarint
 from repro.compressors.huffman import decode_symbol_block, encode_symbol_block
 from repro.util.bitio import pack_bits
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = ["MAX_BUCKET", "encode_bucketed", "decode_bucketed"]
 
@@ -77,17 +77,17 @@ def encode_bucketed(values: np.ndarray) -> bytes:
 
 def decode_bucketed(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Inverse of :func:`encode_bucketed`; returns ``(values, next_offset)``."""
-    count, pos = decode_uvarint(data, offset)
+    count, pos = checked_uvarint(data, offset, "bucket count")
     if count == 0:
         return np.zeros(0, dtype=np.int64), pos
     codes, pos = decode_symbol_block(data, pos)
     codes = codes.astype(np.int64)
     if codes.size != count:
         raise CodecError("bucket symbol count mismatch")
-    stream_len, pos = decode_uvarint(data, pos)
+    stream_len, pos = checked_uvarint(data, pos, "bucket extras length")
     stream = data[pos : pos + stream_len]
     if len(stream) != stream_len:
-        raise CodecError("truncated bucket extras")
+        raise TruncationError("truncated bucket extras", offset=pos)
     pos += stream_len
 
     widths = np.maximum(codes - 1, 0)

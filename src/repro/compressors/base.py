@@ -25,12 +25,14 @@ import numpy as np
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.obs.runtime import STATE as _OBS_STATE
+from repro.util.varint import decode_uvarint
 
 __all__ = [
     "Codec",
     "CodecError",
     "CorruptionError",
     "TruncationError",
+    "checked_uvarint",
     "CodecMetrics",
     "register_codec",
     "get_codec",
@@ -76,6 +78,30 @@ class CorruptionError(CodecError):
 
 class TruncationError(CorruptionError):
     """The input ends before the structure it promised is complete."""
+
+
+def checked_uvarint(
+    data: bytes | bytearray | memoryview,
+    pos: int,
+    what: str,
+    region: str | None = None,
+) -> tuple[int, int]:
+    """Decode one uvarint of untrusted input with typed failures.
+
+    The one uvarint reader of every decoder that must not leak a bare
+    ``ValueError`` (codec streams, PRIF/PRAC metadata, the serve wire
+    protocol).  A uvarint is at most 10 bytes long, so one that fails
+    with fewer than 10 bytes left ran out: :class:`TruncationError`;
+    otherwise it is too long: :class:`CorruptionError`.  Both carry
+    ``region`` and the byte offset.
+    """
+    try:
+        return decode_uvarint(data, pos)
+    except ValueError as exc:
+        kind = TruncationError if len(data) - pos < 10 else CorruptionError
+        raise kind(
+            f"bad {what} at byte {pos}: {exc}", region=region, offset=pos
+        ) from exc
 
 
 def as_bytes(data: bytes | bytearray | memoryview | np.ndarray) -> bytes:

@@ -5,17 +5,24 @@ entropy coder" the paper builds PRIMACY on.  Pipeline:
 
 1. :func:`repro.compressors.lz77.tokenize` -- hash-chain LZ77 parse
    (greedy, lazy at levels 7-9); :func:`repro.compressors.lz77.reassemble`
-   inverts it.  This scalar walk is the codec's only parse.
+   inverts it.  This one Python loop over NumPy-built word and hash
+   tables is the codec's only parse, and the slowest stage of a compress.
 2. Literal bytes            -> canonical Huffman (byte alphabet).
 3. Literal-run lengths      -> bucketed integer coding.
 4. Match lengths, distances -> bucketed integer coding.
+
+Steps 2-4 pack their codewords with :func:`repro.util.bitio.pack_bits`, a
+fixed number of NumPy passes per stream.
 
 Unlike DEFLATE we keep the four streams separate rather than interleaved:
 that preserves the byte-level entropy-coding behaviour PRIMACY exploits
 while letting every stream decode with vectorized NumPy kernels (the HPC
 guides' "no per-element Python" rule).  A stored-block escape guarantees
 at most a few bytes of expansion on incompressible input, mirroring zlib's
-stored blocks.
+stored blocks.  Damaged input raises a
+:class:`~repro.compressors.base.CodecError`; a cut or too-long uvarint is a
+:class:`~repro.compressors.base.TruncationError` or
+:class:`~repro.compressors.base.CorruptionError`.
 
 The ``level`` knob maps to hash-chain depth, like zlib's compression levels.
 """
@@ -25,11 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors._buckets import decode_bucketed, encode_bucketed
-from repro.compressors.base import Codec, CodecError, register_codec
+from repro.compressors.base import Codec, CodecError, checked_uvarint, register_codec
 from repro.compressors.huffman import decode_symbol_block, encode_symbol_block
 from repro.compressors.lz77 import MIN_MATCH, TokenStream, reassemble, tokenize
 from repro.obs.trace import stage_span
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = ["DeflateCodec"]
 
@@ -86,7 +93,7 @@ class DeflateCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        n, pos = decode_uvarint(data, 0)
+        n, pos = checked_uvarint(data, 0, "deflate size header")
         if n == 0:
             return b""
         if pos >= len(data):
@@ -120,7 +127,7 @@ class DeflateCodec(Codec):
 
     @staticmethod
     def _decode_tokens(data: bytes, pos: int, original_size: int) -> TokenStream:
-        n_matches, pos = decode_uvarint(data, pos)
+        n_matches, pos = checked_uvarint(data, pos, "match count")
         literal_syms, pos = decode_symbol_block(data, pos)
         lit_runs, pos = decode_bucketed(data, pos)
         lens_rel, pos = decode_bucketed(data, pos)

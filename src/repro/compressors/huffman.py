@@ -39,9 +39,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import CodecError, CorruptionError, TruncationError
+from repro.compressors.base import (
+    CodecError,
+    CorruptionError,
+    TruncationError,
+    checked_uvarint,
+)
 from repro.util.bitio import pack_bits
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = [
     "MAX_BITS",
@@ -390,7 +395,7 @@ class HuffmanTable:
     @classmethod
     def deserialize(cls, data: bytes, offset: int = 0) -> tuple["HuffmanTable", int]:
         """Parse a serialized instance; returns ``(obj, next_offset)``."""
-        alphabet, pos = _read_uvarint(data, offset, "Huffman alphabet size")
+        alphabet, pos = checked_uvarint(data, offset, "Huffman alphabet size")
         n_nibble_bytes = (alphabet + 1) // 2
         raw = np.frombuffer(data[pos : pos + n_nibble_bytes], dtype=np.uint8)
         if raw.size != n_nibble_bytes:
@@ -404,15 +409,6 @@ class HuffmanTable:
         table = cls(lengths)
         table._decode_tables()  # rejects an over-subscribed table
         return table, pos + n_nibble_bytes
-
-
-def _read_uvarint(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    """Decode one uvarint of a symbol block with typed failure."""
-    try:
-        return decode_uvarint(data, pos)
-    except ValueError as exc:
-        kind = TruncationError if "truncated" in str(exc) else CorruptionError
-        raise kind(f"bad {what} at byte {pos}: {exc}", offset=pos) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +452,24 @@ def encode_symbol_block(symbols: np.ndarray, alphabet: int) -> bytes:
 
 def decode_symbol_block(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Inverse of :func:`encode_symbol_block`; returns ``(symbols, next_offset)``."""
-    n, pos = _read_uvarint(data, offset, "symbol count")
+    n, pos = checked_uvarint(data, offset, "symbol count")
     if n == 0:
         return np.zeros(0, dtype=np.int32), pos
     table, pos = HuffmanTable.deserialize(data, pos)
-    sync, pos = _read_uvarint(data, pos, "sync block size")
+    sync, pos = checked_uvarint(data, pos, "sync block size")
     if not 1 <= sync <= SYNC_SYMBOLS:
         raise CorruptionError("corrupt sync block size")
-    n_blocks, pos = _read_uvarint(data, pos, "block count")
+    n_blocks, pos = checked_uvarint(data, pos, "block count")
     # Every offset takes at least one byte: refuse counts the data cannot hold.
     if n_blocks > len(data) - pos:
         raise TruncationError("Huffman block offset table truncated", offset=pos)
     offsets = []
     acc = 0
     for _ in range(n_blocks):
-        delta, pos = _read_uvarint(data, pos, "block offset")
+        delta, pos = checked_uvarint(data, pos, "block offset")
         acc += delta
         offsets.append(acc)
-    stream_len, pos = _read_uvarint(data, pos, "stream length")
+    stream_len, pos = checked_uvarint(data, pos, "stream length")
     stream = data[pos : pos + stream_len]
     if len(stream) != stream_len:
         raise TruncationError("truncated Huffman stream", offset=pos)

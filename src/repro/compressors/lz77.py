@@ -10,15 +10,25 @@ describe the whole parse::
     match_dists[k] backward distance of match k (>= 1; may be < length,
                   i.e. overlapping copies are allowed and encode runs)
 
-Design notes (pure-Python throughput):
+Design notes (pure-Python throughput).  The parse is one Python loop; a
+visited position costs a few interpreter steps:
 
-* 4-byte rolling hashes for every position are computed **vectorized** with
-  NumPy up front; only the greedy parse itself is a Python loop.
-* The parse loop is O(#tokens), not O(#bytes), on compressible data; on
+* NumPy builds two per-position tables up front, read through memoryviews
+  so the loop converts only the positions it visits: the 4-byte
+  little-endian word at every position (one overlapping unaligned ``<u4``
+  view) and its 16-bit multiplicative hash.
+* A position whose hash chain is empty is a literal at once.  On
   incompressible data an LZ4-style *skip accelerator* widens the stride
   after consecutive misses so runtime stays bounded.
-* Match extension compares 16-byte slices (C memcmp) before falling back to
-  per-byte comparison.
+* A chain candidate is taken only when two word compares, at offsets 0
+  and ``best_len - 3``, and a slice compare of the bytes between them
+  pass: together they are exactly "longer than the best so far".  The
+  match length then grows from the lowest set bit of the XOR of two
+  ``int.from_bytes`` windows (32 bytes, then doubling).
+* A match seeds the positions inside it into the hash chains (at most
+  4,095 of them).  Inside a distance-1 run they all share one hash, so one
+  slice assignment links them.
+* One NumPy mask gathers the literal bytes at the end.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ MIN_MATCH = 4
 _HASH_BITS = 16
 _HASH_SIZE = 1 << _HASH_BITS
 _MULT = 2654435761  # Knuth multiplicative hash constant
+_SEED_CAP = 4096  # a match seeds positions i + 1 .. i + _SEED_CAP - 1 at most
 
 
 @dataclass(frozen=True)
@@ -79,21 +90,88 @@ class TokenStream:
             raise CodecError("token stream does not cover the input")
 
 
-def _hash_array(data: bytes) -> np.ndarray:
-    """Vectorized 4-byte hash for every position ``0 .. len(data) - 4``."""
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
-    u32 = (
-        arr[:-3]
-        | (arr[1:-2] << np.uint32(8))
-        | (arr[2:-1] << np.uint32(16))
-        | (arr[3:] << np.uint32(24))
+def _tables(data: bytes) -> tuple[memoryview, memoryview]:
+    """The 4-byte little-endian word at each position ``0 .. len(data) - 4``
+    and its hash, as memoryviews that hand out one Python int per index."""
+    # One unaligned 4-byte load per position, from an overlapping view.
+    words = np.ndarray((len(data) - 3,), "<u4", data, strides=(1,)).copy()
+    hashes = words * np.uint32(_MULT)
+    hashes >>= np.uint32(32 - _HASH_BITS)
+    return memoryview(words), memoryview(hashes)
+
+
+def _common_prefix(data: bytes, a: int, b: int, limit: int) -> int:
+    """Length of the common prefix of ``data[a:]`` and ``data[b:]``, at
+    most ``limit``.
+
+    Windows of 32 bytes, then 64, 128, ... are read as little-endian
+    ints; the first nonzero XOR ends the prefix at its lowest set bit.
+    """
+    from_bytes = int.from_bytes
+    length = 0
+    width = 32
+    while length < limit:
+        end = min(length + width, limit)
+        diff = from_bytes(data[a + length : a + end], "little") ^ from_bytes(
+            data[b + length : b + end], "little"
+        )
+        if diff:
+            return length + (((diff & -diff).bit_length() - 1) >> 3)
+        length = end
+        width += width
+    return limit
+
+
+def _seed(
+    hashes: memoryview, head: list[int], prev: list[int], i: int, end: int, dist: int
+) -> int:
+    """Insert the positions after ``i`` inside the match ``[i, end)`` at
+    distance ``dist`` into the hash chains, so later data can match into
+    it.  Returns the first position not inserted."""
+    stop = min(end, len(prev), i + _SEED_CAP)
+    j = i + 1
+    if dist == 1:
+        # In a distance-1 run each position up to ``end - 4`` has the word,
+        # so the hash, of ``i`` (which heads that chain): it links to the
+        # position before it.
+        run_end = min(stop, end - 3)
+        if run_end > j:
+            prev[j:run_end] = range(i, run_end - 1)
+            head[hashes[i]] = run_end - 1
+            j = run_end
+    for j, hj in enumerate(hashes[j:stop], j):
+        prev[j] = head[hj]
+        head[hj] = j
+    return stop
+
+
+def _short_stream(data: bytes) -> TokenStream:
+    """The parse of an input shorter than the minimum match: all literal."""
+    empty = np.zeros(0, dtype=np.int64)
+    return TokenStream(
+        np.array([len(data)], dtype=np.int64), empty, empty, bytes(data), len(data)
     )
-    return (u32 * np.uint32(_MULT)) >> np.uint32(32 - _HASH_BITS)
 
 
-def _hash_positions(data: bytes) -> list[int]:
-    """:func:`_hash_array` as a Python list (for the scalar parse loop)."""
-    return _hash_array(data).tolist()
+def _stream(
+    data: bytes, starts: list[int], lens: list[int], dists: list[int]
+) -> TokenStream:
+    """The :class:`TokenStream` of the matches ``(starts, lens, dists)``."""
+    n = len(data)
+    match_lens = np.asarray(lens, dtype=np.int64)
+    match_starts = np.asarray(starts, dtype=np.int64)
+    lit_runs = np.append(match_starts, n)
+    lit_runs[1:] -= match_starts + match_lens
+    # One mask over the input: literal runs and matches alternate.
+    spans = np.empty(2 * match_lens.size + 1, dtype=np.int64)
+    spans[0::2] = lit_runs
+    spans[1::2] = match_lens
+    is_literal = np.zeros(spans.size, dtype=bool)
+    is_literal[0::2] = True
+    literals = np.frombuffer(data, dtype=np.uint8)[np.repeat(is_literal, spans)]
+    return TokenStream(
+        lit_runs, match_lens, np.asarray(dists, dtype=np.int64), literals.tobytes(), n
+    )
 
 
 @dataclass
@@ -101,12 +179,13 @@ class ParseStats:
     """Deterministic operation counts of one or more LZ77 parses.
 
     ``work`` is a composite count of the parse's data-dependent search
-    operations: outer-loop steps, hash-chain walk steps, 16-byte
-    match-extension compares, and in-match hash-seeding steps.  It is a
-    pure function of the input bytes (no clocks), which is what lets the
-    adaptive planner turn it into a *reproducible* speed estimate for
-    the ``pyzlib`` codec -- wall-clock probe timings would make planned
-    archive bytes machine- and run-dependent.
+    operations: outer-loop steps, hash-chain walk steps, ``length >> 4``
+    for every candidate that passes the one-byte check at ``best_len``
+    (one per 16 matching bytes), and in-match hash-seeding steps.  It is
+    a pure function of the input bytes (no clocks), which is what lets
+    the adaptive planner turn it into a *reproducible* speed estimate
+    for the ``pyzlib`` codec -- wall-clock probe timings would make
+    planned archive bytes machine- and run-dependent.
     """
 
     work: int = 0
@@ -135,17 +214,6 @@ def collect_parse_stats() -> Iterator[ParseStats]:
         yield stats
     finally:
         _active_stats = prev
-
-
-def _match_length(data: bytes, a: int, b: int, max_len: int) -> int:
-    """Length of the common prefix of ``data[a:]`` and ``data[b:]``."""
-    l = 0
-    # 16-byte slice compares hit C memcmp; the tail is per-byte.
-    while l + 16 <= max_len and data[a + l : a + l + 16] == data[b + l : b + l + 16]:
-        l += 16
-    while l < max_len and data[a + l] == data[b + l]:
-        l += 1
-    return l
 
 
 def tokenize(
@@ -184,96 +252,88 @@ def tokenize(
     if min_match < MIN_MATCH:
         raise ValueError(f"min_match must be >= {MIN_MATCH}")
     n = len(data)
-    empty = np.zeros(0, dtype=np.int64)
     if n < min_match:
-        return TokenStream(
-            np.array([n], dtype=np.int64), empty, empty, bytes(data), n
-        )
+        return _short_stream(data)
 
-    hashes = _hash_positions(data)
-    n_hash = len(hashes)
+    words, hashes = _tables(data)
     head = [-1] * _HASH_SIZE
-    prev = [-1] * n_hash
+    prev = [-1] * (n - 3)
+    common = _common_prefix
+    steps = range(max_chain)
 
-    lit_runs: list[int] = []
-    match_lens: list[int] = []
-    match_dists: list[int] = []
-    literal_spans: list[tuple[int, int]] = []
-
-    def _search(pos: int, cand: int, threshold: int) -> tuple[int, int]:
-        """Walk the chain from ``cand``; return (best_len, best_pos)."""
-        best_len = threshold
+    def longest(pos: int, cand: int, best_len: int) -> tuple[int, int]:
+        """Walk the chain from ``cand >= 0`` for a match longer than
+        ``best_len`` (``pos + best_len < n``); returns ``(best_len,
+        best_pos)``, with ``best_pos`` -1 if there is none."""
         best_pos = -1
-        depth = max_chain
         max_len = n - pos
-        while cand >= 0 and depth > 0:
-            # Quick rejection: the byte that would extend the best match.
+        first = words[pos]
+        off = best_len - 3
+        last = words[pos + off]
+        for _ in steps:
+            # Longer means equal bytes 0..3, off..best_len and between.
             if (
-                pos + best_len < n
-                and data[cand + best_len] == data[pos + best_len]
+                words[cand + off] == last
+                and words[cand] == first
+                and (
+                    off <= 4
+                    or data[cand + 4 : cand + off] == data[pos + 4 : pos + off]
+                )
             ):
-                l = _match_length(data, cand, pos, max_len)
-                if l > best_len:
-                    best_len = l
-                    best_pos = cand
-                    if l >= max_len:
-                        break
+                # Most such matches are exactly one byte longer.
+                best_len += 1
+                if (
+                    best_len < max_len
+                    and data[cand + best_len] == data[pos + best_len]
+                ):
+                    rest = best_len + 1
+                    best_len = rest + common(
+                        data, cand + rest, pos + rest, max_len - rest
+                    )
+                best_pos = cand
+                if best_len == max_len:
+                    break
+                off = best_len - 3
+                last = words[pos + off]
             cand = prev[cand]
-            depth -= 1
+            if cand < 0:
+                break
         return best_len, best_pos
 
+    starts: list[int] = []
+    lens: list[int] = []
+    dists: list[int] = []
     i = 0
-    lit_start = 0
     miss = 0
     limit = n - min_match
+    threshold = min_match - 1
     while i <= limit:
         hv = hashes[i]
         cand = head[hv]
-        prev[i] = cand
         head[hv] = i
-
-        best_len, best_pos = _search(i, cand, min_match - 1)
-
-        if best_pos >= 0 and lazy and i + 1 <= limit:
-            # zlib-style deferral: a strictly longer match one byte later
-            # beats committing now.
-            peek_len, peek_pos = _search(i + 1, head[hashes[i + 1]], best_len)
-            if peek_pos >= 0 and peek_len > best_len:
+        if cand >= 0:
+            prev[i] = cand
+            best_len, best_pos = longest(i, cand, threshold)
+            if best_pos >= 0:
+                # zlib-style deferral: a strictly longer match one byte
+                # later beats committing now (none fits past the end).
+                if lazy and i < limit and i + best_len < n - 1:
+                    peek = head[hashes[i + 1]]
+                    if peek >= 0 and longest(i + 1, peek, best_len)[1] >= 0:
+                        miss = 0
+                        i += 1
+                        continue
+                starts.append(i)
+                lens.append(best_len)
+                dists.append(i - best_pos)
+                _seed(hashes, head, prev, i, i + best_len, i - best_pos)
+                i += best_len
                 miss = 0
-                i += 1
                 continue
+        miss += 1
+        i += 1 + (miss >> skip_trigger)
 
-        if best_pos >= 0:
-            lit_runs.append(i - lit_start)
-            literal_spans.append((lit_start, i))
-            match_lens.append(best_len)
-            match_dists.append(i - best_pos)
-            end = i + best_len
-            # Seed the hash table inside the match so later data can match
-            # into it; cap the work for very long matches.
-            stop = min(end, n_hash, i + 4096)
-            for j in range(i + 1, stop):
-                hj = hashes[j]
-                prev[j] = head[hj]
-                head[hj] = j
-            i = end
-            lit_start = end
-            miss = 0
-        else:
-            miss += 1
-            i += 1 + (miss >> skip_trigger)
-
-    lit_runs.append(n - lit_start)
-    literal_spans.append((lit_start, n))
-    literals = b"".join(data[s:e] for s, e in literal_spans)
-    stream = TokenStream(
-        np.asarray(lit_runs, dtype=np.int64),
-        np.asarray(match_lens, dtype=np.int64),
-        np.asarray(match_dists, dtype=np.int64),
-        literals,
-        n,
-    )
-    return stream
+    return _stream(data, starts, lens, dists)
 
 
 def _tokenize_counted(
@@ -289,33 +349,27 @@ def _tokenize_counted(
 
     MUST stay in lockstep with the plain parse loop above: same
     candidate walk, same skip accelerator, same lazy deferral.  The test
-    suite asserts bit-identical token streams across both paths.
+    suite asserts bit-identical token streams across both paths.  Its
+    chain walk keeps the one-byte check at ``best_len`` and measures
+    every candidate that passes it, because ``work`` counts those and
+    :data:`repro.planner.cost.PYZLIB_PARSE_NS` is fitted to that count.
     """
     if min_match < MIN_MATCH:
         raise ValueError(f"min_match must be >= {MIN_MATCH}")
     n = len(data)
-    empty = np.zeros(0, dtype=np.int64)
     if n < min_match:
         stats.input_bytes += n
         stats.literal_bytes += n
-        return TokenStream(
-            np.array([n], dtype=np.int64), empty, empty, bytes(data), n
-        )
+        return _short_stream(data)
 
-    hashes = _hash_positions(data)
-    n_hash = len(hashes)
+    _, hashes = _tables(data)
     head = [-1] * _HASH_SIZE
-    prev = [-1] * n_hash
-
-    lit_runs: list[int] = []
-    match_lens: list[int] = []
-    match_dists: list[int] = []
-    literal_spans: list[tuple[int, int]] = []
+    prev = [-1] * (n - 3)
+    common = _common_prefix
     work = 0
 
-    def _search(pos: int, cand: int, threshold: int) -> tuple[int, int]:
+    def longest(pos: int, cand: int, best_len: int) -> tuple[int, int]:
         nonlocal work
-        best_len = threshold
         best_pos = -1
         depth = max_chain
         max_len = n - pos
@@ -325,70 +379,56 @@ def _tokenize_counted(
                 pos + best_len < n
                 and data[cand + best_len] == data[pos + best_len]
             ):
-                l = _match_length(data, cand, pos, max_len)
-                work += l >> 4
-                if l > best_len:
-                    best_len = l
+                length = common(data, cand, pos, max_len)
+                work += length >> 4
+                if length > best_len:
+                    best_len = length
                     best_pos = cand
-                    if l >= max_len:
+                    if length >= max_len:
                         break
             cand = prev[cand]
             depth -= 1
         return best_len, best_pos
 
+    starts: list[int] = []
+    lens: list[int] = []
+    dists: list[int] = []
     i = 0
-    lit_start = 0
     miss = 0
     limit = n - min_match
+    threshold = min_match - 1
     while i <= limit:
         work += 1
         hv = hashes[i]
         cand = head[hv]
-        prev[i] = cand
         head[hv] = i
-
-        best_len, best_pos = _search(i, cand, min_match - 1)
-
-        if best_pos >= 0 and lazy and i + 1 <= limit:
-            peek_len, peek_pos = _search(i + 1, head[hashes[i + 1]], best_len)
-            if peek_pos >= 0 and peek_len > best_len:
+        if cand >= 0:
+            prev[i] = cand
+            best_len, best_pos = longest(i, cand, threshold)
+            if best_pos >= 0:
+                if lazy and i < limit:
+                    peek = head[hashes[i + 1]]
+                    if longest(i + 1, peek, best_len)[1] >= 0:
+                        miss = 0
+                        i += 1
+                        continue
+                starts.append(i)
+                lens.append(best_len)
+                dists.append(i - best_pos)
+                stop = _seed(hashes, head, prev, i, i + best_len, i - best_pos)
+                work += max(stop - (i + 1), 0)
+                i += best_len
                 miss = 0
-                i += 1
                 continue
+        miss += 1
+        i += 1 + (miss >> skip_trigger)
 
-        if best_pos >= 0:
-            lit_runs.append(i - lit_start)
-            literal_spans.append((lit_start, i))
-            match_lens.append(best_len)
-            match_dists.append(i - best_pos)
-            end = i + best_len
-            stop = min(end, n_hash, i + 4096)
-            work += max(stop - (i + 1), 0)
-            for j in range(i + 1, stop):
-                hj = hashes[j]
-                prev[j] = head[hj]
-                head[hj] = j
-            i = end
-            lit_start = end
-            miss = 0
-        else:
-            miss += 1
-            i += 1 + (miss >> skip_trigger)
-
-    lit_runs.append(n - lit_start)
-    literal_spans.append((lit_start, n))
-    literals = b"".join(data[s:e] for s, e in literal_spans)
+    stream = _stream(data, starts, lens, dists)
     stats.input_bytes += n
-    stats.literal_bytes += len(literals)
-    stats.match_bytes += n - len(literals)
+    stats.literal_bytes += len(stream.literals)
+    stats.match_bytes += n - len(stream.literals)
     stats.work += work
-    return TokenStream(
-        np.asarray(lit_runs, dtype=np.int64),
-        np.asarray(match_lens, dtype=np.int64),
-        np.asarray(match_dists, dtype=np.int64),
-        literals,
-        n,
-    )
+    return stream
 
 
 def reassemble(stream: TokenStream) -> bytes:

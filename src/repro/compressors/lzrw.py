@@ -37,9 +37,10 @@ from repro.compressors.base import (
     Codec,
     CorruptionError,
     TruncationError,
+    checked_uvarint,
     register_codec,
 )
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = ["LzrwCodec"]
 
@@ -70,16 +71,6 @@ def _tables(data: bytes) -> tuple[memoryview, memoryview]:
     hashes *= np.uint32(2654435761)
     hashes >>= np.uint32(32 - _HASH_BITS)
     return memoryview(hashes), memoryview(words)
-
-
-def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    """:func:`decode_uvarint` with its failures raised as typed damage."""
-    try:
-        return decode_uvarint(data, pos)
-    except ValueError as exc:
-        # A uvarint is at most 10 bytes long: with fewer left, it ran out.
-        error = TruncationError if len(data) - pos < 10 else CorruptionError
-        raise error(f"bad lzrw uvarint: {exc}") from exc
 
 
 @register_codec
@@ -151,7 +142,7 @@ class LzrwCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        n, pos = _read_uvarint(data, 0)
+        n, pos = checked_uvarint(data, 0, "lzrw size header")
         if n == 0:
             return b""
         if pos >= len(data):
@@ -185,7 +176,7 @@ class LzrwCodec(Codec):
                 if run < 0x80:
                     pos += 1
                 else:
-                    run, pos = _read_uvarint(data, pos)
+                    run, pos = checked_uvarint(data, pos, "lzrw literal run")
                 if run:
                     end = o + run
                     if pos + run > total:

@@ -50,9 +50,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.compressors.base import CorruptionError, TruncationError
+from repro.compressors.base import CorruptionError, TruncationError, checked_uvarint
 from repro.core.linearize import Linearization
-from repro.storage.format import checked_bytes, checked_uvarint
+from repro.storage.format import checked_bytes
 from repro.storage.stream import FrameAssembler, encode_frame
 from repro.util.varint import encode_uvarint
 

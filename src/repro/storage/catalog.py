@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compressors.base import CorruptionError, TruncationError
+from repro.compressors.base import CorruptionError, TruncationError, checked_uvarint
 from repro.core.idmap import IndexReusePolicy
 from repro.core.primacy import (
     PrimacyCompressor,
@@ -57,7 +57,6 @@ from repro.storage.format import (
     TRAILER_BYTES,
     ChunkEntry,
     checked_bytes,
-    checked_uvarint,
     decode_header,
     decode_trailer,
     encode_footer,

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compressors.base import CorruptionError, TruncationError
+from repro.compressors.base import CorruptionError, TruncationError, checked_uvarint
 from repro.core.idmap import IndexReusePolicy
 from repro.core.linearize import Linearization
 from repro.core.primacy import PrimacyConfig
 from repro.util.checksum import crc32
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = [
     "MAGIC",
@@ -28,7 +28,6 @@ __all__ = [
     "TRAILER_BYTES",
     "ChunkEntry",
     "FileInfo",
-    "checked_uvarint",
     "checked_bytes",
     "encode_header",
     "decode_header",
@@ -49,24 +48,6 @@ TRAILER_BYTES = 16
 # inline flag + index_base = 5 bytes; used to reject absurd chunk counts
 # before looping on them.
 _MIN_CHUNK_ROW_BYTES = 5
-
-
-def checked_uvarint(data, pos: int, what: str, region: str) -> tuple[int, int]:
-    """Decode one uvarint, normalizing failures to typed errors.
-
-    Shared by the PRIF header/footer decoders and the ``repro.serve``
-    wire protocol (which frames socket messages with the same varint
-    discipline): a short buffer raises :class:`TruncationError` and a
-    structurally bad varint raises :class:`CorruptionError`, both
-    carrying ``region`` and the byte offset of the divergence.
-    """
-    try:
-        return decode_uvarint(data, pos)
-    except ValueError as exc:
-        kind = TruncationError if "truncated" in str(exc) else CorruptionError
-        raise kind(
-            f"bad {what} at byte {pos}: {exc}", region=region, offset=pos
-        ) from exc
 
 
 def checked_bytes(

@@ -18,8 +18,7 @@ bytes with a bounded buffer.
 
 from __future__ import annotations
 
-from repro.compressors.base import CorruptionError, TruncationError
-from repro.storage.format import checked_uvarint
+from repro.compressors.base import CorruptionError, TruncationError, checked_uvarint
 from repro.util.varint import encode_uvarint
 
 __all__ = ["DEFAULT_MAX_FRAME_BYTES", "FrameAssembler", "encode_frame"]

@@ -3,7 +3,7 @@
 This package provides the bit-level and byte-level plumbing every other
 subsystem relies on:
 
-* :mod:`repro.util.bitio` -- vectorized bit packing/unpacking (NumPy).
+* :mod:`repro.util.bitio` -- vectorized bit packing (NumPy).
 * :mod:`repro.util.buffers` -- zero-copy byte-view normalization.
 * :mod:`repro.util.varint` -- LEB128-style variable-length integers.
 * :mod:`repro.util.checksum` -- from-scratch CRC-32 and Adler-32.
@@ -14,7 +14,7 @@ subsystem relies on:
   harness and the model calibrator.
 """
 
-from repro.util.bitio import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.util.bitio import pack_bits
 from repro.util.buffers import as_view
 from repro.util.checksum import adler32, crc32
 from repro.util.durable import AtomicFile, fsync_directory, retry_io
@@ -33,11 +33,8 @@ from repro.util.varint import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "as_view",
     "pack_bits",
-    "unpack_bits",
     "adler32",
     "crc32",
     "AtomicFile",

@@ -1,14 +1,18 @@
-"""Vectorized bit-stream packing and unpacking.
+"""Vectorized bit-stream packing.
 
 The entropy coders in :mod:`repro.compressors` emit per-symbol codewords of
 varying lengths.  Packing those into a contiguous byte buffer one bit at a
-time in Python would dominate runtime, so the hot paths here are expressed as
-NumPy array operations:
+time in Python would dominate runtime, so :func:`pack_bits` takes parallel
+arrays ``(codes, lengths)`` and packs them in a fixed number of NumPy
+passes over the codewords, none of them per bit:
 
-* :func:`pack_bits` takes parallel arrays ``(codes, lengths)`` and produces a
-  packed byte buffer in a handful of vectorized passes.
-* :func:`unpack_bits` expands a byte buffer back into a ``uint8`` array of
-  individual bits for vectorized decoders.
+* one cumulative sum gives every codeword's end bit;
+* each codeword's low part is shifted into the 64-bit word that holds its
+  last bit, and those words are summed per word with ``np.add.reduceat``
+  (exact, because codewords never share bits);
+* the high part of a codeword that starts in the previous word is OR-ed
+  into that word (at most one codeword crosses each word boundary);
+* the words are written big-endian and cut to the stream length.
 
 Bits are packed MSB-first inside each byte (the conventional order for
 Huffman streams).
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pack_bits", "unpack_bits", "BitWriter", "BitReader"]
+__all__ = ["pack_bits"]
 
 _MAX_CODE_BITS = 57  # max codeword length supported by the uint64 fast path
 
@@ -30,7 +34,8 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
     ----------
     codes:
         ``uint64`` array; the low ``lengths[i]`` bits of ``codes[i]`` are the
-        codeword, most-significant bit emitted first.
+        codeword, most-significant bit emitted first.  Higher bits are
+        ignored.
     lengths:
         integer array of the same shape, each in ``[0, 57]``.
 
@@ -47,102 +52,28 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
         raise ValueError("pack_bits expects 1-D arrays")
     if lengths.size == 0:
         return b""
-    if lengths.min() < 0 or lengths.max() > _MAX_CODE_BITS:
+    widths = lengths.view(np.uint64)  # a negative length becomes huge
+    if widths.max() > _MAX_CODE_BITS:
         raise ValueError(f"code lengths must be in [0, {_MAX_CODE_BITS}]")
 
-    max_len = int(lengths.max())
-    if max_len == 0:
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    if total == 0:
         return b""
-
-    # Expand every codeword into a (n, max_len) bit matrix, MSB first, then
-    # select the valid bits row-major -- boolean fancy indexing preserves
-    # codeword order -- and let np.packbits do the final bit packing in C.
-    j = np.arange(max_len, dtype=np.int64)
-    shift = np.maximum(lengths[:, None] - 1 - j, 0).astype(np.uint64)
-    bitmat = ((codes[:, None] >> shift) & np.uint64(1)).astype(np.uint8)
-    valid = j < lengths[:, None]
-    return np.packbits(bitmat[valid]).tobytes()
-
-
-def unpack_bits(data: bytes | np.ndarray, nbits: int | None = None) -> np.ndarray:
-    """Expand a packed MSB-first bit stream into a ``uint8`` array of bits."""
-    buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray, memoryview)) else np.asarray(data, dtype=np.uint8)
-    bits = np.unpackbits(buf)
-    if nbits is not None:
-        if nbits > bits.size:
-            raise ValueError("requested more bits than the buffer holds")
-        bits = bits[:nbits]
-    return bits
-
-
-class BitWriter:
-    """Incremental MSB-first bit writer.
-
-    Accumulates ``(code, length)`` pairs and batches them through
-    :func:`pack_bits`.  Used by encoders that interleave scalar control
-    decisions with bulk symbol emission.
-    """
-
-    def __init__(self) -> None:
-        self._codes: list[np.ndarray] = []
-        self._lengths: list[np.ndarray] = []
-        self._nbits = 0
-
-    def write(self, code: int, length: int) -> None:
-        """Append a single codeword of ``length`` bits."""
-        if length < 0 or length > _MAX_CODE_BITS:
-            raise ValueError("length out of range")
-        if length and code >> length:
-            raise ValueError("code does not fit in length bits")
-        self._codes.append(np.array([code], dtype=np.uint64))
-        self._lengths.append(np.array([length], dtype=np.int64))
-        self._nbits += length
-
-    def write_array(self, codes: np.ndarray, lengths: np.ndarray) -> None:
-        """Append parallel arrays of codewords."""
-        codes = np.ascontiguousarray(codes, dtype=np.uint64)
-        lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-        self._codes.append(codes)
-        self._lengths.append(lengths)
-        self._nbits += int(lengths.sum())
-
-    @property
-    def bit_length(self) -> int:
-        """Bits written so far."""
-        return self._nbits
-
-    def getvalue(self) -> bytes:
-        """Pack all buffered codewords into bytes."""
-        if not self._codes:
-            return b""
-        codes = np.concatenate(self._codes)
-        lengths = np.concatenate(self._lengths)
-        return pack_bits(codes, lengths)
-
-
-class BitReader:
-    """MSB-first bit reader over a byte buffer.
-
-    Decoding entropy streams bit-by-bit in Python is slow, so the reader
-    exposes the underlying bit array (:attr:`bits`) for vectorized decoders
-    while still offering scalar :meth:`read` for header parsing.
-    """
-
-    def __init__(self, data: bytes | np.ndarray) -> None:
-        self.bits = unpack_bits(data)
-        self.pos = 0
-
-    def read(self, nbits: int) -> int:
-        """Read ``nbits`` bits as an unsigned integer (MSB first)."""
-        if self.pos + nbits > self.bits.size:
-            raise EOFError("bit stream exhausted")
-        chunk = self.bits[self.pos : self.pos + nbits]
-        self.pos += nbits
-        value = 0
-        for b in chunk:
-            value = (value << 1) | int(b)
-        return value
-
-    def remaining(self) -> int:
-        """Bits left to read."""
-        return self.bits.size - self.pos
+    codes = codes & ((np.uint64(1) << widths) - np.uint64(1))
+    # Shift that puts a codeword's last bit where it lands in its word.
+    shift = (-ends & 63).view(np.uint64)
+    # The word holding each codeword's last bit, plus one (0 for leading
+    # empty codewords).  No codeword spans a whole word, so every word
+    # holds the last bit of at least one.
+    word = ends + 63
+    word >>= 6
+    starts = np.empty(word.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(word[1:], word[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    out = np.add.reduceat(codes << shift, first)
+    # Only the first codeword ending in a word can start in the word before.
+    spill = first[1:]
+    out[:-1] |= codes[spill] >> np.uint64(1) >> (np.uint64(63) - shift[spill])
+    return out[-(total + 63 >> 6) :].astype(">u8").tobytes()[: total + 7 >> 3]

@@ -12,7 +12,15 @@ from repro.compressors import (
     evaluate_codec,
     get_codec,
 )
-from repro.compressors.base import CodecMetrics, as_bytes, register_codec
+from repro.compressors.base import (
+    CodecMetrics,
+    CorruptionError,
+    TruncationError,
+    as_bytes,
+    checked_uvarint,
+    register_codec,
+)
+from repro.util.varint import encode_uvarint
 
 
 class TestRegistry:
@@ -191,3 +199,29 @@ class TestCodecMetricsDataclass:
             decompression_mbps=0.0,
         )
         assert m.sigma == 1.0
+
+
+class TestCheckedUvarint:
+    def test_decodes_like_decode_uvarint(self):
+        blob = b"\x07" + encode_uvarint(300) + encode_uvarint(2**63 - 1)
+        assert checked_uvarint(blob, 0, "x") == (7, 1)
+        assert checked_uvarint(blob, 1, "x") == (300, 3)
+        assert checked_uvarint(blob, 3, "x") == (2**63 - 1, len(blob))
+
+    @pytest.mark.parametrize("left", range(10))
+    def test_cut_short_is_truncation(self, left):
+        # Fewer than 10 bytes left, all continuation bytes: it ran out.
+        blob = b"\x01" + b"\x80" * left
+        with pytest.raises(TruncationError) as err:
+            checked_uvarint(blob, 1, "count", "chunk[2]")
+        assert (err.value.region, err.value.offset) == ("chunk[2]", 1)
+        assert "bad count at byte 1" in str(err.value)
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_too_long_is_corruption(self, extra):
+        # Ten continuation bytes are too long to be a uvarint at all.
+        blob = b"\xff" * 10 + b"\x01" * extra
+        with pytest.raises(CorruptionError) as err:
+            checked_uvarint(blob, 0, "count")
+        assert not isinstance(err.value, TruncationError)
+        assert err.value.region is None and err.value.offset == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors import CodecError
+from repro.compressors.base import TruncationError
 from repro.compressors._buckets import (
     MAX_BUCKET,
     _bucket_codes,
@@ -76,6 +77,14 @@ class TestRoundtrip:
         blob = encode_bucketed(np.arange(1000))
         with pytest.raises((CodecError, ValueError)):
             decode_bucketed(blob[: len(blob) // 2])
+
+    def test_every_cut_is_a_truncation_error(self):
+        # Cut inside the count, the symbol block, the extras length or
+        # the extras themselves: the buffer ran out, whichever it was.
+        blob = encode_bucketed(np.arange(1, 300) * 37)
+        for cut in range(len(blob)):
+            with pytest.raises(TruncationError):
+                decode_bucketed(blob[:cut])
 
     @given(st.lists(st.integers(0, 2**39), max_size=300))
     @settings(max_examples=60, deadline=None)

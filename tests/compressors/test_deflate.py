@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors import CodecError, get_codec
+from repro.compressors.base import CorruptionError, TruncationError
 from repro.compressors.deflate import DeflateCodec
+from repro.util.varint import encode_uvarint
 
 
 class TestRoundtrip:
@@ -91,3 +93,44 @@ class TestCorruptStreams:
         blob = codec.compress(np.random.default_rng(1).bytes(100))
         with pytest.raises(CodecError):
             codec.decompress(blob[:50])
+
+    def test_every_cut_and_flip_raises_only_codec_errors(self):
+        # Every truncation and every byte flip (xor 0x01, 0x80, 0xFF) of
+        # three compressed streams: decompress returns bytes or raises a
+        # CodecError.  A cut uvarint (size header, match count, bucket
+        # count, extras length) used to escape as a bare ValueError.
+        rng = np.random.default_rng(2012)
+        smooth = np.round(np.cumsum(rng.normal(0.0, 0.01, 128)) + 300.0, 2)
+        streams = [
+            b"the entropy coder makes the difference " * 30,
+            smooth.astype("<f8").tobytes(),
+            rng.bytes(120) + b"match" * 20 + rng.bytes(40) + bytes(200),
+        ]
+        codec = DeflateCodec()
+        for data in streams:
+            blob = codec.compress(data)
+            assert blob[len(encode_uvarint(len(data)))] == 1  # not stored
+            cases = [blob[:cut] for cut in range(len(blob))]
+            for at in range(len(blob)):
+                for mask in (0x01, 0x80, 0xFF):
+                    flipped = bytearray(blob)
+                    flipped[at] ^= mask
+                    cases.append(bytes(flipped))
+            for case in cases:
+                try:
+                    codec.decompress(case)
+                except CodecError:
+                    pass
+
+    def test_bad_uvarints_are_typed(self):
+        codec = DeflateCodec()
+        blob = codec.compress(b"typed uvarints " * 40)
+        body = len(encode_uvarint(600)) + 1
+        # The size header and the match count cut short, then too long.
+        for bad in (b"\x80", blob[: body] + b"\x80"):
+            with pytest.raises(TruncationError):
+                codec.decompress(bad)
+        for bad in (b"\xff" * 10 + b"\x01", blob[:body] + b"\xff" * 10 + b"\x01"):
+            with pytest.raises(CorruptionError) as err:
+                codec.decompress(bad)
+            assert not isinstance(err.value, TruncationError)

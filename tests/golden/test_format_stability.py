@@ -9,6 +9,7 @@ part of a deliberate migration.
 
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
@@ -123,3 +124,52 @@ class TestPlannedGolden:
         container, labels = gold.build_planned(planned_payload)
         assert tuple(labels) == gold.PLANNED_LABELS
         assert container == gold.PLANNED_PATH.read_bytes()
+
+
+class TestMebibyteDigests:
+    """Whole 1 MiB streams through ``pyzlib``, pinned by digest.
+
+    The golden chunks are 4-8 KiB, so they never reach the LZ77 parse's
+    4,096-position seeding cap or a 1 MiB stream.  These inputs are the
+    six perfbench variables at 131,072 values each; their compressed
+    bytes have been unchanged since the batch LZ77 matcher was deleted.
+    """
+
+    VARIABLES = (
+        "obs_temp",
+        "msg_sppm",
+        "num_plasma",
+        "gts_phi_l",
+        "flash_velx",
+        "msg_bt",
+    )
+    STATIC = "74c87059d4f8f30135891ad8cb29265b5a1142191dc1f283594892805eb715b0"
+    PLANNED = "802a97909b38241cb9becb28cc27332c1bc12367fe405ee6e528cc893e98084f"
+
+    @pytest.fixture(scope="class")
+    def inputs(self) -> list[bytes]:
+        from repro.datasets import generate_bytes
+
+        return [generate_bytes(name, 131072, seed=1201) for name in self.VARIABLES]
+
+    @staticmethod
+    def _config():
+        from repro.core.primacy import PrimacyConfig
+
+        return PrimacyConfig(codec="pyzlib", chunk_bytes=1 << 20)
+
+    def test_static_pyzlib_digest(self, inputs):
+        from repro.core.primacy import PrimacyCompressor
+
+        compressor = PrimacyCompressor(self._config())
+        blob = b"".join(compressor.compress(data)[0] for data in inputs)
+        assert hashlib.sha256(blob).hexdigest() == self.STATIC
+
+    def test_planned_digest(self, inputs):
+        from repro.planner.candidates import PlannerConfig
+        from repro.planner.compressor import PlannedCompressor
+
+        config = PlannerConfig(base=self._config())
+        with PlannedCompressor(config, workers=1) as planned:
+            blob = b"".join(planned.compress(data)[0] for data in inputs)
+        assert hashlib.sha256(blob).hexdigest() == self.PLANNED

@@ -1,4 +1,4 @@
-"""Tests for repro.util.bitio: bit packing/unpacking invariants."""
+"""Tests for repro.util.bitio: bit packing invariants."""
 
 from __future__ import annotations
 
@@ -7,7 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bitio import BitReader, BitWriter, pack_bits, unpack_bits
+from repro.util.bitio import pack_bits
+
+
+def reference_pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The bit-matrix packer :func:`pack_bits` replaced: every codeword
+    expanded into a row of ``max(lengths)`` bits, the valid ones selected
+    row-major, then ``np.packbits``."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    if codes.shape != lengths.shape:
+        raise ValueError("codes and lengths must have identical shapes")
+    if codes.ndim != 1:
+        raise ValueError("pack_bits expects 1-D arrays")
+    if lengths.size == 0:
+        return b""
+    if lengths.min() < 0 or lengths.max() > 57:
+        raise ValueError("code lengths must be in [0, 57]")
+    max_len = int(lengths.max())
+    if max_len == 0:
+        return b""
+    j = np.arange(max_len, dtype=np.int64)
+    shift = np.maximum(lengths[:, None] - 1 - j, 0).astype(np.uint64)
+    bitmat = ((codes[:, None] >> shift) & np.uint64(1)).astype(np.uint8)
+    valid = j < lengths[:, None]
+    return np.packbits(bitmat[valid]).tobytes()
+
+
+def _raises(fn, *args) -> str | None:
+    """The message of the ``ValueError`` that ``fn(*args)`` raises, if any."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _reference_pack(codes, lengths) -> bytes:
@@ -82,54 +115,53 @@ class TestPackBits:
         )
 
 
-class TestUnpackBits:
-    def test_roundtrip_with_packbits(self):
-        data = bytes([0b10110010, 0b01000000])
-        bits = unpack_bits(data)
-        assert bits.tolist() == [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+class TestReferenceEquivalence:
+    """The word-level packer against the bit-matrix one it replaced."""
 
-    def test_nbits_truncation(self):
-        assert unpack_bits(b"\xff", nbits=3).tolist() == [1, 1, 1]
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 57), st.integers(0, 2**64 - 1)),
+            max_size=300,
+        ),
+        st.sampled_from([None, 0, 1, 8, 13, 57]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_reference(self, pairs, cap):
+        # Codes keep bits above their length; ``cap`` bounds every length
+        # (None: no bound), so zero-length codes and whole-word spans show
+        # up often.
+        lengths = np.array(
+            [n if cap is None else min(n, cap) for n, _ in pairs], dtype=np.int64
+        )
+        codes = np.array([c for _, c in pairs], dtype=np.uint64)
+        assert pack_bits(codes, lengths) == reference_pack_bits(codes, lengths)
 
-    def test_nbits_too_large_raises(self):
-        with pytest.raises(ValueError):
-            unpack_bits(b"\xff", nbits=9)
+    @pytest.mark.parametrize("length", range(58))
+    def test_every_length_at_every_bit_offset(self, length):
+        # One code of each length after a prefix that puts it at each of
+        # the 64 bit offsets of a word, with all 64 code bits set.
+        for offset in range(64):
+            lengths = np.array([offset // 2, offset - offset // 2, length, 3])
+            codes = np.full(4, 2**64 - 1, dtype=np.uint64)
+            assert pack_bits(codes, lengths) == reference_pack_bits(codes, lengths)
 
+    def test_leading_and_trailing_empty_codes(self):
+        codes = np.array([7, 7, 5, 7, 7], dtype=np.uint64)
+        for lengths in ([0, 0, 3, 0, 0], [0, 0, 0, 0, 0], [0, 57, 0, 57, 0]):
+            lengths = np.array(lengths, dtype=np.int64)
+            assert pack_bits(codes, lengths) == reference_pack_bits(codes, lengths)
 
-class TestBitWriterReader:
-    def test_roundtrip_scalar_writes(self):
-        w = BitWriter()
-        w.write(0b101, 3)
-        w.write(0b1, 1)
-        w.write(0xAB, 8)
-        data = w.getvalue()
-        r = BitReader(data)
-        assert r.read(3) == 0b101
-        assert r.read(1) == 0b1
-        assert r.read(8) == 0xAB
-
-    def test_bit_length_tracks_writes(self):
-        w = BitWriter()
-        w.write(1, 1)
-        w.write_array(np.array([3, 7], np.uint64), np.array([2, 3], np.int64))
-        assert w.bit_length == 6
-
-    def test_write_rejects_overflowing_code(self):
-        w = BitWriter()
-        with pytest.raises(ValueError):
-            w.write(0b100, 2)
-
-    def test_reader_eof(self):
-        r = BitReader(b"\xf0")
-        r.read(8)
-        with pytest.raises(EOFError):
-            r.read(1)
-
-    def test_reader_remaining(self):
-        r = BitReader(b"\x00\x00")
-        assert r.remaining() == 16
-        r.read(5)
-        assert r.remaining() == 11
-
-    def test_empty_writer(self):
-        assert BitWriter().getvalue() == b""
+    @pytest.mark.parametrize(
+        "codes, lengths",
+        [
+            (np.zeros(3, np.uint64), np.zeros(2, np.int64)),
+            (np.zeros((2, 2), np.uint64), np.ones((2, 2), np.int64)),
+            (np.array([1], np.uint64), np.array([58], np.int64)),
+            (np.array([1, 1], np.uint64), np.array([3, -1], np.int64)),
+        ],
+        ids=["shapes", "2-d", "overlong", "negative"],
+    )
+    def test_raises_what_the_reference_raises(self, codes, lengths):
+        message = _raises(reference_pack_bits, codes, lengths)
+        assert message is not None
+        assert _raises(pack_bits, codes, lengths) == message
