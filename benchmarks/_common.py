@@ -13,10 +13,14 @@ throughput numbers at the cost of runtime; the *shapes* are stable from
 from __future__ import annotations
 
 import os
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+# The repo root, so benches can import the test oracles (``tests.oracles``).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

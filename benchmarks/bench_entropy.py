@@ -1,20 +1,21 @@
 """Entropy-coder kernel benchmark: batch vs reference BWT-stack stages,
 and the ``pyzlib`` compress stages.
 
-Times the ``pybzip`` stages under both ``BwtCodec(kernels=...)``
-backends on the paper's dataset family: ``mtf_encode`` / ``rle0_encode``
-on the workload's BWT last column, and the decode side ``rle0_decode`` /
-``mtf_decode`` / ``bwt_inverse``.  ``pyzlib`` has one LZ77 parse and no
-backend to compare, so its two compress stages, the level-6 parse
-(``pyzlib_tokenize_mbps``) and the token entropy encode
+Times each ``pybzip`` stage of :mod:`repro.compressors.bwt` against the
+scalar loop it replaced (the ``reference_*`` oracles in
+``tests/oracles.py``) on the paper's dataset family: ``mtf_encode`` /
+``rle0_encode`` on the workload's BWT last column, and the decode side
+``rle0_decode`` / ``mtf_decode`` / ``bwt_inverse``.  ``pyzlib`` has one
+LZ77 parse and no oracle timed here, so its two compress stages, the
+level-6 parse (``pyzlib_tokenize_mbps``) and the token entropy encode
 (``pyzlib_token_encode_mbps``), are reported as plain rates, ungated.
 
 The workload per dataset is the PRIMACY-*preconditioned* ID stream --
 the byte split + frequency-ranked ID mapping applied to the raw values,
 exactly what the backend codec receives on the compressor's hot path
 (raw dataset bytes essentially never reach the codecs in this repo).
-Backends are cross-checked before timing: every BWT-stack stage must be
-byte-identical.
+Batch stages and oracles are cross-checked before timing: every
+BWT-stack stage must be byte-identical.
 
 Usage (CI runs the gate form)::
 
@@ -40,8 +41,7 @@ import numpy as np
 
 from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, mbps
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
-from repro.compressors import bwt as bwtmod
-from repro.compressors import kernels as batch
+from repro.compressors import bwt as batch
 from repro.compressors.bwt import bwt_transform
 from repro.compressors.deflate import _LEVEL_CHAIN, DeflateCodec
 from repro.compressors.lz77 import tokenize
@@ -54,6 +54,14 @@ from repro.core.kernels import (
 )
 from repro.core.primacy import PrimacyConfig
 from repro.datasets import generate_bytes
+
+from tests.oracles import (
+    reference_bwt_inverse,
+    reference_mtf_decode,
+    reference_mtf_encode,
+    reference_rle0_decode,
+    reference_rle0_encode,
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_DATASETS = ("obs_temp", "msg_bt", "num_plasma")
@@ -91,12 +99,12 @@ def _best_seconds(fn, repeats: int) -> float:
 
 
 def _check_equivalence(data: bytes, last: np.ndarray, primary: int) -> None:
-    """Backend contract, asserted before anything is timed."""
+    """Oracle contract, asserted before anything is timed."""
     arr = np.frombuffer(data, dtype=np.uint8)
-    ranks = bwtmod.mtf_encode(last)
+    ranks = reference_mtf_encode(last)
     if not np.array_equal(batch.mtf_encode(last), ranks):
         raise RuntimeError("mtf_encode mismatch")
-    syms = bwtmod._rle0_encode(ranks)
+    syms = reference_rle0_encode(ranks)
     if not np.array_equal(batch.rle0_encode(ranks), syms):
         raise RuntimeError("rle0_encode mismatch")
     if not np.array_equal(
@@ -112,42 +120,42 @@ def _check_equivalence(data: bytes, last: np.ndarray, primary: int) -> None:
 def measure_dataset(
     name: str, n_values: int, *, repeats: int, seed: int
 ) -> dict:
-    """Per-stage times for one dataset under both backends."""
+    """Per-stage times for one dataset, oracle and batch."""
     data = _id_stream(generate_bytes(name, n_values, seed))
     n = len(data)
     arr = np.frombuffer(data, dtype=np.uint8)
     last, primary = bwt_transform(arr)
     _check_equivalence(data, last, primary)
 
-    ranks = bwtmod.mtf_encode(last)
-    syms = bwtmod._rle0_encode(ranks)
+    ranks = reference_mtf_encode(last)
+    syms = reference_rle0_encode(ranks)
 
     # (stage, reference thunk, batch thunk); timed back to back so the
     # per-stage ratio is taken under identical machine conditions.
     stages = [
         (
             "mtf_encode",
-            lambda: bwtmod.mtf_encode(last),
+            lambda: reference_mtf_encode(last),
             lambda: batch.mtf_encode(last),
         ),
         (
             "rle0_encode",
-            lambda: bwtmod._rle0_encode(ranks),
+            lambda: reference_rle0_encode(ranks),
             lambda: batch.rle0_encode(ranks),
         ),
         (
             "rle0_decode",
-            lambda: bwtmod._rle0_decode(syms),
+            lambda: reference_rle0_decode(syms),
             lambda: batch.rle0_decode(syms, max_size=last.size),
         ),
         (
             "mtf_decode",
-            lambda: bwtmod.mtf_decode(ranks),
+            lambda: reference_mtf_decode(ranks),
             lambda: batch.mtf_decode(ranks),
         ),
         (
             "bwt_inverse",
-            lambda: bwtmod.bwt_inverse(last, primary),
+            lambda: reference_bwt_inverse(last, primary),
             lambda: batch.bwt_inverse(last, primary),
         ),
     ]

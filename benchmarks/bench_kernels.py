@@ -1,18 +1,18 @@
 """Fused-kernel benchmark: the chunk hot path, before vs after.
 
 Times the PRIMACY precondition + ID-map stage (byte split, sequence
-packing, frequency index build, ID mapping, linearization) under both
-chunk-kernel backends:
+packing, frequency index build, ID mapping, linearization) two ways:
 
-* ``reference`` -- the original naive pipeline: materialize the big-endian
-  byte matrix, slice high/low copies, rebuild a dense lookup table per
-  chunk, serialize IDs column by column;
+* ``reference`` -- the original naive pipeline, kept as the
+  ``reference_id_stream`` oracle in ``tests/oracles.py``: materialize the
+  big-endian byte matrix, slice high/low copies, rebuild a dense lookup
+  table per chunk, serialize IDs column by column;
 * ``fused`` -- :mod:`repro.core.kernels`: sequences packed straight off
   the raw little-endian chunk view, a persistent lookup table, and
   arena-owned output buffers (steady state, after a warm-up chunk).
 
-End-to-end compress/decompress throughput is reported for both backends
-as well, so the stage win is visible in context of codec time.
+End-to-end compress/decompress throughput of the pipeline (fused) is
+reported as well, so the stage win is visible in context of codec time.
 
 Usage (CI runs the gate form)::
 
@@ -36,11 +36,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, mbps
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
-from repro.core.bytesplit import split_bytes, values_to_byte_matrix
 from repro.core.idmap import IdMapper
 from repro.core.kernels import (
     ScratchArena,
@@ -48,11 +45,11 @@ from repro.core.kernels import (
     low_matrix_view,
     pack_sequences,
     raw_matrix,
-    reference_apply,
 )
-from repro.core.linearize import Linearization
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import generate_bytes
+
+from tests.oracles import reference_id_stream
 
 SCHEMA_VERSION = 1
 DEFAULT_DATASETS = ("obs_temp", "msg_bt", "num_plasma")
@@ -64,18 +61,6 @@ _GATED_METRICS = (
     "fused_compress_mbps",
     "fused_decompress_mbps",
 )
-
-
-def _reference_stage(chunk: bytes, config: PrimacyConfig, mapper: IdMapper):
-    """The pre-kernels precondition + ID-map front half of a chunk."""
-    matrix = values_to_byte_matrix(chunk, config.word_bytes)
-    high, _low = split_bytes(matrix, config.high_bytes)
-    seqs = mapper.sequences(high)
-    index = mapper.index_from_frequencies(mapper.frequencies(seqs))
-    id_matrix, _ = reference_apply(seqs, index)
-    if config.linearization is Linearization.COLUMN:
-        return np.ascontiguousarray(id_matrix.T).tobytes()
-    return np.ascontiguousarray(id_matrix).tobytes()
 
 
 def _fused_stage(
@@ -105,52 +90,47 @@ def _best_seconds(fn, repeats: int) -> float:
 def measure_dataset(
     name: str, n_values: int, *, repeats: int, seed: int
 ) -> dict:
-    """Stage and end-to-end throughput for one dataset, both backends."""
+    """Stage throughput (reference and fused) and end-to-end throughput."""
     data = generate_bytes(name, n_values, seed)
     n = len(data)
-    fused_cfg = PrimacyConfig(chunk_bytes=max(n, 1 << 16))
-    ref_cfg = PrimacyConfig(chunk_bytes=max(n, 1 << 16), kernels="reference")
+    cfg = PrimacyConfig(chunk_bytes=max(n, 1 << 16))
 
     # --- isolated precondition + ID-map stage -------------------------
-    ref_mapper = IdMapper(seq_bytes=ref_cfg.high_bytes)
-    fused_mapper = IdMapper(seq_bytes=fused_cfg.high_bytes)
+    mapper = IdMapper(seq_bytes=cfg.high_bytes)
     arena = ScratchArena()
     # Equivalence sanity check doubles as the arena/table warm-up, so the
     # fused timing below measures steady state (buffers reused, not grown).
-    ref_stream = _reference_stage(data, ref_cfg, ref_mapper)
-    fused_stream = _fused_stage(data, fused_cfg, fused_mapper, arena)
+    ref_stream = reference_id_stream(data, cfg)[0]
+    fused_stream = _fused_stage(data, cfg, mapper, arena)
     if ref_stream != fused_stream:
         raise RuntimeError(f"kernel equivalence failed for dataset {name!r}")
 
-    t_ref = _best_seconds(
-        lambda: _reference_stage(data, ref_cfg, ref_mapper), repeats
-    )
+    t_ref = _best_seconds(lambda: reference_id_stream(data, cfg), repeats)
     t_fused = _best_seconds(
-        lambda: _fused_stage(data, fused_cfg, fused_mapper, arena), repeats
+        lambda: _fused_stage(data, cfg, mapper, arena), repeats
     )
 
-    # --- end to end, per backend --------------------------------------
+    # --- end to end ---------------------------------------------------
     row: dict[str, float | int] = {
         "original_bytes": n,
         "reference_precondition_idmap_mbps": mbps(n, t_ref),
         "fused_precondition_idmap_mbps": mbps(n, t_fused),
         "precondition_idmap_speedup": t_ref / t_fused if t_fused > 0 else 1.0,
     }
-    for label, cfg in (("reference", ref_cfg), ("fused", fused_cfg)):
-        comp = PrimacyCompressor(cfg)
-        blob = b""
+    comp = PrimacyCompressor(cfg)
+    blob = b""
 
-        def _compress():
-            nonlocal blob
-            blob, _ = comp.compress(data)
+    def _compress():
+        nonlocal blob
+        blob, _ = comp.compress(data)
 
-        _compress()  # warm-up (arena growth + codec init)
-        t_c = _best_seconds(_compress, repeats)
-        t_d = _best_seconds(lambda: comp.decompress(blob), repeats)
-        if comp.decompress(blob) != data:
-            raise RuntimeError(f"round trip failed for dataset {name!r}")
-        row[f"{label}_compress_mbps"] = mbps(n, t_c)
-        row[f"{label}_decompress_mbps"] = mbps(n, t_d)
+    _compress()  # warm-up (arena growth + codec init)
+    t_c = _best_seconds(_compress, repeats)
+    t_d = _best_seconds(lambda: comp.decompress(blob), repeats)
+    if comp.decompress(blob) != data:
+        raise RuntimeError(f"round trip failed for dataset {name!r}")
+    row["fused_compress_mbps"] = mbps(n, t_c)
+    row["fused_decompress_mbps"] = mbps(n, t_d)
     return row
 
 

@@ -35,7 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compressors.base import CodecError, CorruptionError, TruncationError
+from repro.compressors.base import (
+    CodecError,
+    CorruptionError,
+    TruncationError,
+    checked_uvarint,
+)
 from repro.core.idmap import IndexReusePolicy
 from repro.core.primacy import PrimacyConfig
 from repro.obs import metrics as _obs_metrics
@@ -45,7 +50,7 @@ from repro.storage.reader import PrimacyFileReader
 from repro.storage.writer import PrimacyFileWriter
 from repro.util.checksum import crc32
 from repro.util.durable import AtomicFile
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = ["CheckpointWriter", "CheckpointReader", "VariableMeta"]
 
@@ -58,19 +63,6 @@ _TRAILER_BYTES = 16
 # offset + length = 6 bytes (with empty strings and zero dims); used to
 # reject absurd entry counts before looping on them.
 _MIN_ENTRY_BYTES = 6
-
-
-def _uvarint(data, pos: int, what: str) -> tuple[int, int]:
-    """Decode one manifest uvarint, normalizing failures to typed errors."""
-    try:
-        return decode_uvarint(data, pos)
-    except ValueError as exc:
-        kind = TruncationError if "truncated" in str(exc) else CorruptionError
-        raise kind(
-            f"bad manifest {what} at byte {pos}: {exc}",
-            region="manifest",
-            offset=pos,
-        ) from exc
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def _decode_manifest(manifest: bytes, manifest_start: int) -> list[VariableMeta]
     file, i.e. the exclusive upper bound for every segment extent.
     """
     pos = 0
-    n_entries, pos = _uvarint(manifest, pos, "entry count")
+    n_entries, pos = checked_uvarint(manifest, pos, "manifest entry count", "manifest")
     if n_entries * _MIN_ENTRY_BYTES > len(manifest):
         raise CorruptionError(
             f"entry count {n_entries} cannot fit in a "
@@ -110,15 +102,21 @@ def _decode_manifest(manifest: bytes, manifest_start: int) -> list[VariableMeta]
         )
     entries: list[VariableMeta] = []
     for i in range(n_entries):
-        step, pos = _uvarint(manifest, pos, f"entry {i} step")
-        name_len, pos = _uvarint(manifest, pos, f"entry {i} name length")
+        step, pos = checked_uvarint(
+            manifest, pos, f"manifest entry {i} step", "manifest"
+        )
+        name_len, pos = checked_uvarint(
+            manifest, pos, f"manifest entry {i} name length", "manifest"
+        )
         raw_name = manifest[pos : pos + name_len]
         if len(raw_name) != name_len:
             raise TruncationError(
                 f"entry {i} name truncated", region="manifest", offset=pos
             )
         pos += name_len
-        dtype_len, pos = _uvarint(manifest, pos, f"entry {i} dtype length")
+        dtype_len, pos = checked_uvarint(
+            manifest, pos, f"manifest entry {i} dtype length", "manifest"
+        )
         raw_dtype = manifest[pos : pos + dtype_len]
         if len(raw_dtype) != dtype_len:
             raise TruncationError(
@@ -134,17 +132,25 @@ def _decode_manifest(manifest: bytes, manifest_start: int) -> list[VariableMeta]
                 f"entry {i} has an undecodable name/dtype: {exc}",
                 region="manifest",
             ) from exc
-        ndim, pos = _uvarint(manifest, pos, f"entry {i} rank")
+        ndim, pos = checked_uvarint(
+            manifest, pos, f"manifest entry {i} rank", "manifest"
+        )
         if ndim > 64:
             raise CorruptionError(
                 f"entry {i} claims rank {ndim}", region="manifest"
             )
         shape = []
         for d in range(ndim):
-            s, pos = _uvarint(manifest, pos, f"entry {i} dim {d}")
+            s, pos = checked_uvarint(
+                manifest, pos, f"manifest entry {i} dim {d}", "manifest"
+            )
             shape.append(s)
-        offset, pos = _uvarint(manifest, pos, f"entry {i} offset")
-        length, pos = _uvarint(manifest, pos, f"entry {i} length")
+        offset, pos = checked_uvarint(
+            manifest, pos, f"manifest entry {i} offset", "manifest"
+        )
+        length, pos = checked_uvarint(
+            manifest, pos, f"manifest entry {i} length", "manifest"
+        )
         if offset < 5 or offset + length > manifest_start:
             raise CorruptionError(
                 f"entry {i} segment [{offset}, {offset + length}) lies "

@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="run the codec-invariant checker over source trees "
-        "(PL001..PL005; --deep adds the PL101..PL104 dataflow rules)",
+        "(PL001..PL005; --deep adds the PL101..PL103 dataflow rules)",
     )
     p.add_argument(
         "paths", type=Path, nargs="*", default=[Path("src")],
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--deep", action="store_true",
-        help="also run the CFG/dataflow rules (PL101..PL104): lifecycle "
-        "proofs, fork-safety, encode/decode symmetry, kernel parity",
+        help="also run the CFG/dataflow rules (PL101..PL103): lifecycle "
+        "proofs, fork-safety, encode/decode symmetry",
     )
     p.add_argument(
         "--cache", type=Path, default=None, metavar="FILE",

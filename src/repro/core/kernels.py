@@ -1,12 +1,12 @@
 """Fused, allocation-conscious kernels for the PRIMACY chunk hot path.
 
-The naive pipeline (kept as the ``reference`` backend, see
-:mod:`repro.core.bytesplit` / :mod:`repro.core.linearize`) makes a full
-byte-reversed copy of every chunk, builds the ID matrix column by column
-with per-column temporaries, and pays two more full-size copies for the
-transpose + serialize step.  The paper's performance model (Sec III)
-charges every one of those passes against preconditioner throughput
-``T_prec``, so this module replaces them with *fused* kernels that
+The naive matrix pipeline (:mod:`repro.core.bytesplit` /
+:mod:`repro.core.linearize`) makes a full byte-reversed copy of every
+chunk, builds the ID matrix column by column with per-column
+temporaries, and pays two more full-size copies for the transpose +
+serialize step.  The paper's performance model (Sec III) charges every
+one of those passes against preconditioner throughput ``T_prec``, so
+the pipeline runs these *fused* kernels instead, which
 
 * derive the big-endian high-order sequence array directly from the raw
   little-endian chunk view with shifts and masks -- the ``N x 8`` byte
@@ -27,9 +27,10 @@ At steady state (a stream of equal-geometry chunks) the arena performs
 no allocations at all; when chunk geometry changes, buffers grow
 monotonically and are reused for every later chunk that fits.
 
-Equivalence with the reference backend is byte-exact and enforced by
-``tests/core/test_kernels.py``; relative speed is tracked by
-``benchmarks/bench_kernels.py`` (see ``docs/PERFORMANCE.md``).
+The naive path is kept as ``reference_*`` oracles in
+``tests/oracles.py``: hypothesis properties in
+``tests/core/test_kernels.py`` hold the kernels byte-exact to it, and
+``benchmarks/bench_kernels.py`` times both (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "linearize_ids",
     "ids_from_stream",
     "fill_high_from_seqs",
-    "reference_apply",
 ]
 
 _NATIVE_IS_LITTLE = sys.byteorder == "little"
@@ -208,34 +208,6 @@ def linearize_ids(
         else:
             np.copyto(planes[col], ids, casting="unsafe")
     return out.tobytes()
-
-
-def reference_apply(seqs, index):
-    """The pre-kernels ID-mapping path, frozen as the equivalence oracle.
-
-    Exactly what ``IdMapper.apply`` used to do: build a fresh dense
-    lookup table per call, gather, and on an index-reuse miss rebuild
-    the table and re-gather the *entire* chunk.  The ``reference``
-    pipeline backend uses this (plus the naive bytesplit/linearize
-    functions) so fused-kernel output can always be checked byte-for-byte
-    against the original implementation.
-
-    Returns ``(id_matrix, used_index)`` like ``IdMapper.apply``.
-    """
-    table = index.lookup_table()
-    ids = table[seqs]
-    missing_mask = ids < 0
-    if missing_mask.any():
-        missing = np.unique(seqs[missing_mask])
-        index = index.extended(missing)
-        table = index.lookup_table()
-        ids = table[seqs]
-    seq_bytes = index.seq_bytes
-    out = np.empty((ids.size, seq_bytes), dtype=np.uint8)
-    for col in range(seq_bytes):
-        shift = 8 * (seq_bytes - 1 - col)
-        out[:, col] = ((ids >> shift) & 0xFF).astype(np.uint8)
-    return out, index
 
 
 # --------------------------------------------------------------------- #

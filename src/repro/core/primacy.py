@@ -34,14 +34,9 @@ from repro.compressors.base import (
     CodecError,
     CorruptionError,
     TruncationError,
+    checked_uvarint,
     get_codec,
     register_codec,
-)
-from repro.core.bytesplit import (
-    byte_matrix_to_values,
-    combine_bytes,
-    split_bytes,
-    values_to_byte_matrix,
 )
 from repro.core.chunking import DEFAULT_CHUNK_BYTES, Chunker
 from repro.core.idmap import FrequencyIndex, IdMapper, IndexReusePolicy
@@ -53,9 +48,8 @@ from repro.core.kernels import (
     low_matrix_view,
     pack_sequences,
     raw_matrix,
-    reference_apply,
 )
-from repro.core.linearize import Linearization, delinearize
+from repro.core.linearize import Linearization
 from repro.isobar import IsobarConfig, IsobarPartitioner
 from repro.isobar.bitplane import BitplaneAnalysis, BitplanePartitioner
 from repro.obs import metrics as _obs_metrics
@@ -116,14 +110,6 @@ class PrimacyConfig:
         partially-regular bytes at ~8x the analysis work.
     checksum:
         Seal each chunk with Adler-32 of the original bytes.
-    kernels:
-        Chunk-kernel backend: ``"fused"`` (default) runs the
-        allocation-conscious kernels of :mod:`repro.core.kernels` over a
-        reusable :class:`~repro.core.kernels.ScratchArena`; ``"reference"``
-        runs the original naive matrix pipeline.  Output bytes are
-        identical (enforced by ``tests/core/test_kernels.py``); the
-        backend is a local execution choice and is *not* recorded in
-        containers.
     """
 
     codec: str = "pyzlib"
@@ -136,7 +122,6 @@ class PrimacyConfig:
     isobar: IsobarConfig = field(default_factory=IsobarConfig)
     isobar_granularity: str = "byte"
     checksum: bool = True
-    kernels: str = "fused"
 
     def __post_init__(self) -> None:
         if not 1 <= self.high_bytes < self.word_bytes:
@@ -145,8 +130,6 @@ class PrimacyConfig:
             raise ValueError("high_bytes > 3 would need a 4+ GiB index table")
         if self.isobar_granularity not in ("byte", "bit"):
             raise ValueError("isobar_granularity must be 'byte' or 'bit'")
-        if self.kernels not in ("fused", "reference"):
-            raise ValueError("kernels must be 'fused' or 'reference'")
 
 
 # --------------------------------------------------------------------- #
@@ -188,7 +171,6 @@ class ContainerHeader:
             isobar=base.isobar,
             isobar_granularity="bit" if self.bit_isobar else "byte",
             checksum=self.checksum,
-            kernels=base.kernels,
         )
 
 
@@ -221,19 +203,6 @@ def encode_container_header(
     return bytes(out)
 
 
-def _header_uvarint(data, pos: int, what: str) -> tuple[int, int]:
-    """Decode one container-header uvarint with typed failure."""
-    try:
-        return decode_uvarint(data, pos)
-    except ValueError as exc:
-        kind = TruncationError if "truncated" in str(exc) else CorruptionError
-        raise kind(
-            f"bad container {what} at byte {pos}: {exc}",
-            region="header",
-            offset=pos,
-        ) from exc
-
-
 def parse_container_header(data: bytes | memoryview) -> ContainerHeader:
     """Parse a PRIM container preamble; cheap (no payload decoding).
 
@@ -256,7 +225,7 @@ def parse_container_header(data: bytes | memoryview) -> ContainerHeader:
         )
     flags = data[5]
     pos = 6
-    name_len, pos = _header_uvarint(data, pos, "codec name length")
+    name_len, pos = checked_uvarint(data, pos, "container codec name length", "header")
     raw_name = bytes(data[pos : pos + name_len])
     if len(raw_name) != name_len:
         raise TruncationError(
@@ -270,8 +239,8 @@ def parse_container_header(data: bytes | memoryview) -> ContainerHeader:
             region="header",
         ) from exc
     pos += name_len
-    word_bytes, pos = _header_uvarint(data, pos, "word width")
-    high_bytes, pos = _header_uvarint(data, pos, "high-order width")
+    word_bytes, pos = checked_uvarint(data, pos, "container word width", "header")
+    high_bytes, pos = checked_uvarint(data, pos, "container high-order width", "header")
     if pos >= len(data):
         raise TruncationError(
             "container header missing linearization byte",
@@ -280,15 +249,15 @@ def parse_container_header(data: bytes | memoryview) -> ContainerHeader:
         )
     linearization = Linearization.COLUMN if data[pos] == 0 else Linearization.ROW
     pos += 1
-    total_len, pos = _header_uvarint(data, pos, "total length")
-    tail_len, pos = _header_uvarint(data, pos, "tail length")
+    total_len, pos = checked_uvarint(data, pos, "container total length", "header")
+    tail_len, pos = checked_uvarint(data, pos, "container tail length", "header")
     tail = bytes(data[pos : pos + tail_len])
     if len(tail) != tail_len:
         raise TruncationError(
             "container tail truncated", region="header", offset=pos
         )
     pos += tail_len
-    n_chunks, pos = _header_uvarint(data, pos, "chunk count")
+    n_chunks, pos = checked_uvarint(data, pos, "container chunk count", "header")
     if n_chunks > max(len(data) - pos, 0):
         # Each record needs at least a length prefix byte; reject absurd
         # counts before anyone loops or allocates on them.
@@ -605,7 +574,6 @@ class PrimacyCompressor:
         cfg = self.config
         return self._decompress_chunk(
             record,
-            self._mapper,
             self._make_partitioner(self._codec),
             self._codec,
             cfg.word_bytes,
@@ -613,7 +581,7 @@ class PrimacyCompressor:
             cfg.linearization,
             cfg.checksum,
             current_index,
-            arena=self.arena if cfg.kernels == "fused" else None,
+            self.arena,
         )
 
     def _compress_chunk(
@@ -627,37 +595,23 @@ class PrimacyCompressor:
         partitioner = self._make_partitioner(timing_codec)
 
         t_prec = 0.0
-        fused = cfg.kernels == "fused"
 
         # --- preconditioning: split + frequency analysis + ID mapping ---
         t0 = time.perf_counter()
-        if fused:
-            raw = raw_matrix(chunk, cfg.word_bytes)
-            n_values = raw.shape[0]
-            seqs = pack_sequences(raw, cfg.high_bytes, self.arena)
-            low = low_matrix_view(raw, cfg.high_bytes)
-        else:
-            matrix = values_to_byte_matrix(chunk, cfg.word_bytes)
-            n_values = matrix.shape[0]
-            high, low = split_bytes(matrix, cfg.high_bytes)
-            seqs = self._mapper.sequences(high)
+        raw = raw_matrix(chunk, cfg.word_bytes)
+        n_values = raw.shape[0]
+        seqs = pack_sequences(raw, cfg.high_bytes, self.arena)
+        low = low_matrix_view(raw, cfg.high_bytes)
         freq = self._mapper.frequencies(seqs)
         reuse = self._should_reuse(prev_index, prev_freq, freq)
         if reuse:
             base_index = prev_index
         else:
             base_index = self._mapper.index_from_frequencies(freq)
-        if fused:
-            ids, used_index = self._mapper.apply_ids(seqs, base_index)
-            id_stream = linearize_ids(
-                ids, cfg.high_bytes, cfg.linearization, self.arena
-            )
-        else:
-            id_matrix, used_index = reference_apply(seqs, base_index)
-            if cfg.linearization is Linearization.COLUMN:
-                id_stream = np.ascontiguousarray(id_matrix.T).tobytes()
-            else:
-                id_stream = np.ascontiguousarray(id_matrix).tobytes()
+        ids, used_index = self._mapper.apply_ids(seqs, base_index)
+        id_stream = linearize_ids(
+            ids, cfg.high_bytes, cfg.linearization, self.arena
+        )
         t_prec += time.perf_counter() - t0
 
         # --- solver: backend codec over the ID stream ---
@@ -750,13 +704,12 @@ class PrimacyCompressor:
                     f"unknown backend codec {header.codec!r}"
                 ) from exc
 
-        try:
-            mapper = IdMapper(seq_bytes=header.high_bytes)
-        except ValueError as exc:
+        if not 1 <= header.high_bytes <= 3:
             raise CorruptionError(
-                f"container header widths are unusable: {exc}",
+                f"container header split width {header.high_bytes} "
+                "is unusable",
                 region="header",
-            ) from exc
+            )
         partitioner = (
             BitplanePartitioner(codec)
             if header.bit_isobar
@@ -764,11 +717,9 @@ class PrimacyCompressor:
         )
         parts: list[bytes] = []
         current_index: FrequencyIndex | None = None
-        arena = self.arena if self.config.kernels == "fused" else None
         for record in iter_container_records(data, header):
             chunk_bytes, current_index = self._decompress_chunk(
                 record,
-                mapper,
                 partitioner,
                 codec,
                 header.word_bytes,
@@ -776,7 +727,7 @@ class PrimacyCompressor:
                 header.linearization,
                 header.checksum,
                 current_index,
-                arena=arena,
+                self.arena,
             )
             parts.append(chunk_bytes)
         result = b"".join(parts) + header.tail
@@ -787,7 +738,6 @@ class PrimacyCompressor:
     @staticmethod
     def _decompress_chunk(
         record: bytes,
-        mapper: IdMapper,
         partitioner: IsobarPartitioner,
         codec: Codec,
         word_bytes: int,
@@ -795,7 +745,7 @@ class PrimacyCompressor:
         linearization: Linearization,
         use_checksum: bool,
         current_index: FrequencyIndex | None,
-        arena: ScratchArena | None = None,
+        arena: ScratchArena,
     ) -> tuple[bytes, FrequencyIndex]:
         # Record decoding is the hot boundary between stored bytes and
         # the pipeline: corruption anywhere inside (index tables, codec
@@ -812,12 +762,11 @@ class PrimacyCompressor:
                 from repro.planner.record import decode_planned_record
 
                 chunk, index = decode_planned_record(
-                    record, word_bytes, use_checksum, arena=arena
+                    record, word_bytes, use_checksum, arena
                 )
             else:
                 chunk, index = PrimacyCompressor._decode_record(
                     record,
-                    mapper,
                     partitioner,
                     codec,
                     word_bytes,
@@ -845,7 +794,6 @@ class PrimacyCompressor:
     @staticmethod
     def _decode_record(
         record: bytes,
-        mapper: IdMapper,
         partitioner: IsobarPartitioner,
         codec: Codec,
         word_bytes: int,
@@ -853,7 +801,7 @@ class PrimacyCompressor:
         linearization: Linearization,
         use_checksum: bool,
         current_index: FrequencyIndex | None,
-        arena: ScratchArena | None = None,
+        arena: ScratchArena,
     ) -> tuple[bytes, FrequencyIndex]:
         if not record:
             raise TruncationError("empty chunk record")
@@ -894,33 +842,24 @@ class PrimacyCompressor:
         pos += low_len
 
         id_stream = codec.decompress(high_compressed)
-        if arena is not None:
-            # Fused decode: IDs straight off the stream, sequence bytes
-            # scattered into a raw-layout output buffer, and the ISOBAR
-            # matrix decompressed directly into the same buffer's
-            # low-order columns -- one owning copy at the end.
-            ids = ids_from_stream(
-                id_stream, n_values, high_bytes, linearization, arena
-            )
-            if ids.size and int(ids.max()) >= index.n_unique:
-                raise CodecError("ID out of index range")
-            seqs = index.values[ids]
-            if high_bytes > word_bytes:
-                raise CorruptionError("high-order width exceeds word width")
-            raw_out = arena.array("dec_raw", (n_values, word_bytes))
-            fill_high_from_seqs(seqs, high_bytes, raw_out, arena)
-            partitioner.decompress(
-                low_blob, out=low_matrix_view(raw_out, high_bytes)
-            )
-            chunk = raw_out.tobytes()
-        else:
-            id_matrix = delinearize(id_stream, n_values, high_bytes, linearization)
-            high = mapper.invert(id_matrix, index)
-            low = partitioner.decompress(low_blob)
-            if low.shape != (n_values, word_bytes - high_bytes):
-                raise CorruptionError("low-order matrix shape mismatch")
-            matrix = combine_bytes(high, low)
-            chunk = byte_matrix_to_values(matrix)
+        # IDs straight off the stream, sequence bytes scattered into a
+        # raw-layout output buffer, and the ISOBAR matrix decompressed
+        # directly into the same buffer's low-order columns -- one
+        # owning copy at the end.
+        ids = ids_from_stream(
+            id_stream, n_values, high_bytes, linearization, arena
+        )
+        if ids.size and int(ids.max()) >= index.n_unique:
+            raise CodecError("ID out of index range")
+        seqs = index.values[ids]
+        if high_bytes > word_bytes:
+            raise CorruptionError("high-order width exceeds word width")
+        raw_out = arena.array("dec_raw", (n_values, word_bytes))
+        fill_high_from_seqs(seqs, high_bytes, raw_out, arena)
+        partitioner.decompress(
+            low_blob, out=low_matrix_view(raw_out, high_bytes)
+        )
+        chunk = raw_out.tobytes()
         if use_checksum:
             if len(record) - pos != 4:
                 raise CorruptionError(

@@ -12,8 +12,8 @@ enforces those contracts mechanically:
 * :mod:`repro.lint.rules` -- the shallow PL001..PL005 set (exception
   discipline, struct-format consistency, SharedMemory lifecycle,
   buffer-bounds discipline, codec-registry completeness) and the deep
-  PL101..PL104 set (path-sensitive lifecycle proofs, fork-safety,
-  encode/decode symmetry, kernel/reference parity).
+  PL101..PL103 set (path-sensitive lifecycle proofs, fork-safety,
+  encode/decode symmetry).
 * :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow` /
   :mod:`repro.lint.project` -- the static-analysis substrate the deep
   rules stand on: per-function control-flow graphs with exception

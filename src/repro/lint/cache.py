@@ -9,7 +9,7 @@ actually determines them:
   per-module rule's ``code:v<analysis_version>``.  Editing one file
   re-lints one file; bumping one rule's ``analysis_version`` re-lints
   everything, for exactly that reason.
-* **project phase** (PL102/PL103/PL104 run over the whole index):
+* **project phase** (PL102/PL103 run over the whole index):
   keyed by the hash of *all* file hashes plus the project rules
   signature.  Any edit anywhere re-runs the cross-module phase -- it
   is interprocedural, so that is the honest invalidation unit.

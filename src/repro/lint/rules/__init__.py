@@ -4,7 +4,7 @@ Two tiers share one framework:
 
 * **shallow** rules (PL001..PL005) -- single-pass AST walkers, cheap
   enough to run on every invocation;
-* **deep** rules (PL101..PL104) -- CFG/dataflow proofs and
+* **deep** rules (PL101..PL103) -- CFG/dataflow proofs and
   cross-module analyses behind ``primacy lint --deep``, built on
   :mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`, and
   :mod:`repro.lint.project`.
@@ -19,7 +19,6 @@ from repro.lint.rules.bounds import BufferBoundsRule
 from repro.lint.rules.exceptions import ExceptionDisciplineRule
 from repro.lint.rules.forksafety import ForkSafetyRule
 from repro.lint.rules.lifecycle import ResourceLifecycleRule
-from repro.lint.rules.parity import KernelParityRule
 from repro.lint.rules.registry import CodecRegistryRule
 from repro.lint.rules.sharedmem import SharedMemoryLifecycleRule
 from repro.lint.rules.structfmt import StructFormatRule
@@ -36,7 +35,6 @@ __all__ = [
     "ResourceLifecycleRule",
     "ForkSafetyRule",
     "EncodeDecodeSymmetryRule",
-    "KernelParityRule",
 ]
 
 
@@ -57,5 +55,4 @@ def deep_rules() -> list[Rule]:
         ResourceLifecycleRule(),
         ForkSafetyRule(),
         EncodeDecodeSymmetryRule(),
-        KernelParityRule(),
     ]

@@ -19,7 +19,7 @@ BYTES     variable-length payloads    /  ``data[pos:pos+length]``,
 
 The interpreter is deliberately *prefix-honest*: guard ``if``\\ s whose
 body only raises are skipped (their tests still count -- that is where
-decoders read magic bytes), helper parsers (``_uvarint``,
+decoders read magic bytes), helper parsers (``checked_uvarint``,
 ``parse_planned_header``) are **spliced in** by recursing into the
 callee, and the first structural branch or loop stops extraction with
 a truncation mark.  A truncated side only constrains the common
@@ -646,15 +646,8 @@ class EncodeDecodeSymmetryRule(Rule):
         self.consumer_names = {
             name
             for name in project.by_name
-            if name.startswith(("decode_", "parse_", "_uvarint", "checked_"))
-            or name
-            in (
-                "_uvarint",
-                "_named_bytes",
-                "_header_uvarint",
-                "_decode_preamble",
-                "_sized_field",
-            )
+            if name.startswith(("decode_", "parse_", "checked_"))
+            or name in ("_decode_preamble", "_sized_field")
         }
         for encoder, decoder in self._pairs(project):
             yield from self._compare(encoder, decoder)

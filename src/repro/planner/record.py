@@ -27,7 +27,7 @@ from repro.compressors.base import (
     TruncationError,
     get_codec,
 )
-from repro.core.idmap import FrequencyIndex, IdMapper
+from repro.core.idmap import FrequencyIndex
 from repro.core.kernels import ScratchArena
 from repro.core.linearize import Linearization
 from repro.core.primacy import _CHUNK_FLAG_PLANNED, PrimacyCompressor
@@ -129,26 +129,20 @@ def decode_planned_record(
     record: bytes | memoryview,
     word_bytes: int,
     use_checksum: bool,
-    arena: ScratchArena | None = None,
+    arena: ScratchArena,
 ) -> tuple[bytes, FrequencyIndex]:
     """Decode one planned record; returns ``(chunk_bytes, index)``.
 
     The pipeline is rebuilt from the planned header alone -- no planner
     state.  ``use_checksum`` comes from the enclosing container/file
-    header (candidates cannot vary it).
+    header (candidates cannot vary it); ``arena`` holds the decode
+    scratch buffers.
     """
     codec_name, high_bytes, linearization, pos = parse_planned_header(record)
     codec = _codec_for(codec_name)
-    try:
-        mapper = IdMapper(seq_bytes=high_bytes)
-    except ValueError as exc:
-        raise CorruptionError(
-            f"planned header widths are unusable: {exc}"
-        ) from exc
     partitioner = IsobarPartitioner(codec, IsobarConfig(), arena=arena)
     return PrimacyCompressor._decode_record(
         bytes(record[pos:]),
-        mapper,
         partitioner,
         codec,
         word_bytes,

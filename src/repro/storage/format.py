@@ -65,11 +65,6 @@ def checked_bytes(
     return raw, pos + length
 
 
-# Historical private names; the decoders below predate the public export.
-_uvarint = checked_uvarint
-_named_bytes = checked_bytes
-
-
 @dataclass(frozen=True)
 class ChunkEntry:
     """One row of the footer's chunk table."""
@@ -158,7 +153,7 @@ def decode_header(data: bytes) -> tuple[PrimacyConfig, int, bool]:
     high_bytes, pos = checked_uvarint(data, pos, "high-order width", "header")
     chunk_bytes, pos = checked_uvarint(data, pos, "chunk size", "header")
     policy_len, pos = checked_uvarint(data, pos, "index policy length", "header")
-    raw_policy, pos = _named_bytes(
+    raw_policy, pos = checked_bytes(
         data, pos, policy_len, "index policy name", "header"
     )
     try:
@@ -248,7 +243,7 @@ def decode_footer(footer: bytes) -> tuple[list[ChunkEntry], bytes, int]:
     garbage after the total-length field.
     """
     pos = 0
-    n_chunks, pos = _uvarint(footer, pos, "chunk count", "footer")
+    n_chunks, pos = checked_uvarint(footer, pos, "chunk count", "footer")
     if n_chunks * _MIN_CHUNK_ROW_BYTES > len(footer):
         raise CorruptionError(
             f"chunk count {n_chunks} cannot fit in a "
@@ -261,10 +256,10 @@ def decode_footer(footer: bytes) -> tuple[list[ChunkEntry], bytes, int]:
     prev_end = 0
     for i in range(n_chunks):
         region = "footer"
-        delta, pos = _uvarint(footer, pos, f"chunk {i} offset delta", region)
+        delta, pos = checked_uvarint(footer, pos, f"chunk {i} offset delta", region)
         offset += delta
-        length, pos = _uvarint(footer, pos, f"chunk {i} length", region)
-        n_values, pos = _uvarint(footer, pos, f"chunk {i} value count", region)
+        length, pos = checked_uvarint(footer, pos, f"chunk {i} length", region)
+        n_values, pos = checked_uvarint(footer, pos, f"chunk {i} value count", region)
         if pos >= len(footer):
             raise TruncationError(
                 f"chunk {i} row truncated", region=region, offset=pos
@@ -278,7 +273,7 @@ def decode_footer(footer: bytes) -> tuple[list[ChunkEntry], bytes, int]:
             )
         inline = bool(flag)
         pos += 1
-        index_base, pos = _uvarint(footer, pos, f"chunk {i} index base", region)
+        index_base, pos = checked_uvarint(footer, pos, f"chunk {i} index base", region)
         if length < 1:
             raise CorruptionError(
                 f"chunk {i} has zero-length record", region=region
@@ -308,9 +303,9 @@ def decode_footer(footer: bytes) -> tuple[list[ChunkEntry], bytes, int]:
                 index_base=index_base,
             )
         )
-    tail_len, pos = _uvarint(footer, pos, "tail length", "footer")
-    tail, pos = _named_bytes(footer, pos, tail_len, "footer tail", "footer")
-    total_bytes, pos = _uvarint(footer, pos, "total length", "footer")
+    tail_len, pos = checked_uvarint(footer, pos, "tail length", "footer")
+    tail, pos = checked_bytes(footer, pos, tail_len, "footer tail", "footer")
+    total_bytes, pos = checked_uvarint(footer, pos, "total length", "footer")
     if pos != len(footer):
         raise CorruptionError(
             f"{len(footer) - pos} bytes of trailing garbage in PRIF footer",

@@ -15,6 +15,9 @@ from repro.compressors.bwt import (
     mtf_decode,
     mtf_encode,
 )
+from repro.compressors.huffman import encode_symbol_block
+from repro.datasets import generate_bytes
+from repro.util.varint import encode_uvarint
 
 
 def _u8(data: bytes) -> np.ndarray:
@@ -120,3 +123,36 @@ class TestBwtCodec:
     def test_property_roundtrip(self, data):
         codec = BwtCodec(block_size=512)
         assert codec.decompress(codec.compress(data)) == data
+
+    def test_every_cut_and_flip_raises_only_codec_errors(self):
+        # Every truncation and every byte flip (xor 0x01, 0x80, 0xFF) of
+        # one 2 KiB stream: decompress returns bytes or raises a
+        # CodecError.  A cut size header, block count, block length or
+        # primary index used to escape as a bare ValueError.
+        codec = BwtCodec()
+        blob = codec.compress(generate_bytes("obs_temp", 256, seed=1201))
+        cases = [blob[:cut] for cut in range(len(blob))]
+        for at in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(blob)
+                flipped[at] ^= mask
+                cases.append(bytes(flipped))
+        for case in cases:
+            try:
+                codec.decompress(case)
+            except CodecError:
+                pass
+
+    def test_wrapping_zero_runs_are_typed(self):
+        # Two 62-digit RUNB runs sum past 2^63; the block must be
+        # refused before the int64 output size wraps negative.
+        symbols = np.array([1] * 62 + [5] + [1] * 62, dtype=np.int64)
+        stream = (
+            encode_uvarint(16)  # size header
+            + encode_uvarint(1)  # block count
+            + encode_uvarint(16)  # block length
+            + encode_uvarint(0)  # primary index
+            + encode_symbol_block(symbols, 258)
+        )
+        with pytest.raises(CodecError):
+            BwtCodec().decompress(stream)

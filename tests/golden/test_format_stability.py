@@ -127,12 +127,14 @@ class TestPlannedGolden:
 
 
 class TestMebibyteDigests:
-    """Whole 1 MiB streams through ``pyzlib``, pinned by digest.
+    """Whole 1 MiB streams through ``pyzlib`` and ``pybzip``, pinned by digest.
 
     The golden chunks are 4-8 KiB, so they never reach the LZ77 parse's
-    4,096-position seeding cap or a 1 MiB stream.  These inputs are the
-    six perfbench variables at 131,072 values each; their compressed
-    bytes have been unchanged since the batch LZ77 matcher was deleted.
+    4,096-position seeding cap, a 128 KiB BWT block or a 1 MiB stream.
+    These inputs are the six perfbench variables at 131,072 values each;
+    their ``pyzlib`` bytes have been unchanged since the batch LZ77
+    matcher was deleted, and their ``pybzip`` bytes are the same under
+    the scalar BWT-stack loops and the batch stages.
     """
 
     VARIABLES = (
@@ -145,6 +147,7 @@ class TestMebibyteDigests:
     )
     STATIC = "74c87059d4f8f30135891ad8cb29265b5a1142191dc1f283594892805eb715b0"
     PLANNED = "802a97909b38241cb9becb28cc27332c1bc12367fe405ee6e528cc893e98084f"
+    PYBZIP = "b2b64f285f877c10def374994659b6e1085b424624845d238dd9473e341475d5"
 
     @pytest.fixture(scope="class")
     def inputs(self) -> list[bytes]:
@@ -153,17 +156,25 @@ class TestMebibyteDigests:
         return [generate_bytes(name, 131072, seed=1201) for name in self.VARIABLES]
 
     @staticmethod
-    def _config():
+    def _config(codec: str = "pyzlib"):
         from repro.core.primacy import PrimacyConfig
 
-        return PrimacyConfig(codec="pyzlib", chunk_bytes=1 << 20)
+        return PrimacyConfig(codec=codec, chunk_bytes=1 << 20)
 
-    def test_static_pyzlib_digest(self, inputs):
+    @staticmethod
+    def _static_digest(config, inputs) -> str:
         from repro.core.primacy import PrimacyCompressor
 
-        compressor = PrimacyCompressor(self._config())
+        compressor = PrimacyCompressor(config)
         blob = b"".join(compressor.compress(data)[0] for data in inputs)
-        assert hashlib.sha256(blob).hexdigest() == self.STATIC
+        return hashlib.sha256(blob).hexdigest()
+
+    def test_static_pyzlib_digest(self, inputs):
+        assert self._static_digest(self._config(), inputs) == self.STATIC
+
+    def test_static_pybzip_digest(self, inputs):
+        digest = self._static_digest(self._config("pybzip"), inputs)
+        assert digest == self.PYBZIP
 
     def test_planned_digest(self, inputs):
         from repro.planner.candidates import PlannerConfig

@@ -92,8 +92,9 @@ def test_list_rules(capsys):
 def test_list_rules_deep_includes_deep_tier(capsys):
     assert main(["lint", "--list-rules", "--deep"]) == 0
     out = capsys.readouterr().out
-    for code in ("PL101", "PL102", "PL103", "PL104"):
+    for code in ("PL101", "PL102", "PL103"):
         assert code in out
+    assert "PL104" not in out
 
 
 def test_deep_gate_on_repo_src(monkeypatch):
@@ -120,9 +121,9 @@ def test_deep_flags_bad_fixture(capsys, monkeypatch):
 def test_deep_cache_reports_stats(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     cache = tmp_path / "cache.json"
-    # pl104_good is clean under the shallow tier too (pl101_good
+    # pl103_good is clean under the shallow tier too (pl101_good
     # deliberately trips the cruder PL003 heuristic).
-    fixture = str(FIXTURES / "pl104_good.py")
+    fixture = str(FIXTURES / "pl103_good.py")
 
     assert main(["lint", "--deep", fixture, "--cache", str(cache)]) == 0
     assert "project phase miss" in capsys.readouterr().err

@@ -1,9 +1,4 @@
-"""Deep rules (PL101..PL104) over their fixtures plus src regressions.
-
-This file doubles as the equivalence-test anchor for the PL104 good
-fixture: it names ParityCodec together with its reference backend, so
-the kernel-parity rule sees the pair as covered.
-"""
+"""Deep rules (PL101..PL103) over their fixtures plus src regressions."""
 
 import ast
 import textwrap
@@ -18,7 +13,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = REPO_ROOT / "src"
 
-DEEP_CODES = ("PL101", "PL102", "PL103", "PL104")
+DEEP_CODES = ("PL101", "PL102", "PL103")
 
 
 def run_deep_rule(code, paths, project_root=REPO_ROOT):
@@ -160,45 +155,3 @@ def test_deep_rules_clean_over_src():
     assert findings == [], [
         f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
     ]
-
-
-# -- PL104 test-coverage arm ----------------------------------------------
-
-
-def _parity_project(tmp_path, with_test):
-    src_dir = tmp_path / "src"
-    src_dir.mkdir()
-    (src_dir / "codec.py").write_text(
-        "_BACKENDS = {}\n"
-        "\n"
-        "def _reference_run(data):\n"
-        "    return bytes(data)\n"
-        "\n"
-        "class FastCodec:\n"
-        "    def __init__(self, kernels='batch'):\n"
-        "        self.kernels = kernels\n",
-        encoding="utf-8",
-    )
-    if with_test:
-        tests_dir = tmp_path / "tests"
-        tests_dir.mkdir()
-        (tests_dir / "test_codec.py").write_text(
-            "def test_fastcodec_matches_reference():\n"
-            "    assert FastCodec is not None\n",
-            encoding="utf-8",
-        )
-    return src_dir
-
-
-def test_pl104_requires_a_single_test_naming_both(tmp_path):
-    src_dir = _parity_project(tmp_path, with_test=False)
-    findings = run_deep_rule("PL104", [src_dir], project_root=tmp_path)
-    assert len(findings) == 1
-    assert "FastCodec" in findings[0].message
-    assert "test" in findings[0].message
-
-
-def test_pl104_satisfied_by_twin_plus_test(tmp_path):
-    src_dir = _parity_project(tmp_path, with_test=True)
-    findings = run_deep_rule("PL104", [src_dir], project_root=tmp_path)
-    assert findings == [], [f.message for f in findings]

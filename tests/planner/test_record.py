@@ -6,6 +6,7 @@ import pytest
 
 from repro.compressors import CodecError
 from repro.compressors.base import CorruptionError, TruncationError
+from repro.core.kernels import ScratchArena
 from repro.core.linearize import Linearization
 from repro.core.primacy import (
     PrimacyCompressor,
@@ -35,7 +36,7 @@ class TestRoundTrip:
         record, _ = _planned(candidate, payload, base)
         assert is_planned_record(record)
         chunk, index = decode_planned_record(
-            record, base.word_bytes, base.checksum
+            record, base.word_bytes, base.checksum, ScratchArena()
         )
         assert chunk == payload
         assert index is not None
@@ -99,7 +100,7 @@ class TestAdversarialHeaders:
     def test_unknown_codec_is_typed(self):
         record = bytes([0x02, 7]) + b"no-such" + bytes([2, 0]) + b"x"
         with pytest.raises(CodecError):
-            decode_planned_record(record, 8, True)
+            decode_planned_record(record, 8, True, ScratchArena())
 
     def test_corrupt_inner_record_is_typed(self, smooth_bytes):
         base = PrimacyConfig()
@@ -108,4 +109,6 @@ class TestAdversarialHeaders:
         broken = bytearray(record)
         broken[len(broken) // 2] ^= 0xFF
         with pytest.raises(CodecError):
-            decode_planned_record(bytes(broken), base.word_bytes, base.checksum)
+            decode_planned_record(
+                bytes(broken), base.word_bytes, base.checksum, ScratchArena()
+            )
