@@ -1,5 +1,5 @@
 """Entropy-coder kernel benchmark: batch vs reference BWT-stack stages,
-and the ``pyzlib`` compress stages.
+the ``pyzlib`` compress stages and ``pylzo``.
 
 Times each ``pybzip`` stage of :mod:`repro.compressors.bwt` against the
 scalar loop it replaced (the ``reference_*`` oracles in
@@ -9,6 +9,9 @@ scalar loop it replaced (the ``reference_*`` oracles in
 LZ77 parse and no oracle timed here, so its two compress stages, the
 level-6 parse (``pyzlib_tokenize_mbps``) and the token entropy encode
 (``pyzlib_token_encode_mbps``), are reported as plain rates, ungated.
+So are ``pylzo``'s whole compress and decompress
+(``pylzo_compress_mbps``, ``pylzo_decompress_mbps``), the codec the
+planner picks for half the chunks of a checkpoint.
 
 The workload per dataset is the PRIMACY-*preconditioned* ID stream --
 the byte split + frequency-ranked ID mapping applied to the raw values,
@@ -45,6 +48,7 @@ from repro.compressors import bwt as batch
 from repro.compressors.bwt import bwt_transform
 from repro.compressors.deflate import _LEVEL_CHAIN, DeflateCodec
 from repro.compressors.lz77 import tokenize
+from repro.compressors.lzrw import LzrwCodec
 from repro.core.idmap import IdMapper
 from repro.core.kernels import (
     ScratchArena,
@@ -184,6 +188,16 @@ def measure_dataset(
     t_encode = _best_seconds(lambda: DeflateCodec._encode_tokens(stream), repeats)
     row["pyzlib_tokenize_mbps"] = mbps(n, t_parse)
     row["pyzlib_token_encode_mbps"] = mbps(n, t_encode)
+
+    # pylzo's whole codec, both directions (ungated rates).
+    lzo = LzrwCodec()
+    blob = lzo.compress(data)
+    if lzo.decompress(blob) != data:
+        raise RuntimeError("pylzo round trip mismatch")
+    t_compress = _best_seconds(lambda: lzo.compress(data), repeats)
+    t_decompress = _best_seconds(lambda: lzo.decompress(blob), repeats)
+    row["pylzo_compress_mbps"] = mbps(n, t_compress)
+    row["pylzo_decompress_mbps"] = mbps(n, t_decompress)
     return row
 
 
@@ -250,8 +264,11 @@ def main(argv: list[str] | None = None) -> int:
 
     table = Table(
         "Batch BWT-stack kernels vs reference (per-stage speedups); "
-        "pyzlib compress stages (MB/s)",
-        ["dataset", "mtf enc", "rle", "bwt inv", "BWT", "zlib parse", "zlib enc"],
+        "pyzlib compress stages and pylzo (MB/s)",
+        [
+            "dataset", "mtf enc", "rle", "bwt inv", "BWT",
+            "zlib parse", "zlib enc", "lzo enc", "lzo dec",
+        ],
     )
     for name, row in document["results"].items():
         table.add(
@@ -262,12 +279,15 @@ def main(argv: list[str] | None = None) -> int:
             row["bwt_stage_speedup"],
             row["pyzlib_tokenize_mbps"],
             row["pyzlib_token_encode_mbps"],
+            row["pylzo_compress_mbps"],
+            row["pylzo_decompress_mbps"],
         )
     table.note(
         "geomean: BWT "
         f"{document['summary']['bwt_stage_speedup_geomean']:.2f}x; "
         f"n_values={args.n_values}, best of {args.repeats}; "
-        "zlib columns are level-6 MB/s of the ID stream, ungated"
+        "zlib and lzo columns are MB/s of the ID stream (zlib at level 6), "
+        "ungated"
     )
     table.emit("BENCH_entropy.txt")
 

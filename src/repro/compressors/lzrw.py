@@ -27,6 +27,18 @@ for at most 18 output bytes, so a size header promising more than 6x the
 body is rejected before anything is allocated.  Damage raises
 :class:`~repro.compressors.base.TruncationError` or
 :class:`~repro.compressors.base.CorruptionError`.
+
+Both sides take a *stretch* of identical records (no literals, same
+length L and offset d) in one step.  An LZ77 copy runs byte by byte, so
+k such records equal one copy of k*L bytes at offset d.  The decoder
+counts a stretch with doubling compares, capped so that the copy ends
+by the size header, and copies once; records past the cap go through
+the loop and its checks.  The encoder takes the one stretch it can
+prove without running the loop: a match 18 long and 17 back whose
+source is a run of one byte.  Each pass after it would find the seed 17
+back and match 18 more bytes until fewer than 18 run bytes are left, so
+it appends those records at once and leaves the hash table as the loop
+would.  Output is byte-identical to the record-at-a-time loops.
 """
 
 from __future__ import annotations
@@ -53,6 +65,11 @@ _WINDOW = 4095
 _MIN_MATCH = 3
 _MAX_MATCH = 18
 _PROFITABLE_MATCH = 4  # shorter matches do not pay for their 2 + ~1 bytes
+#: The match every record inside a long byte run makes: 18 bytes, 17 back.
+_RUN_MATCH = ((_MAX_MATCH - _MIN_MATCH) << 12) | (_MAX_MATCH - 1)
+_RUN_RECORD = bytes([0, _RUN_MATCH >> 8, _RUN_MATCH & 0xFF])
+#: Such a record's 18 source bytes inside a run, for every byte value.
+_BYTE_RUNS = [bytes([b]) * _MAX_MATCH for b in range(256)]
 
 
 def _tables(data: bytes) -> tuple[memoryview, memoryview]:
@@ -71,6 +88,30 @@ def _tables(data: bytes) -> tuple[memoryview, memoryview]:
     hashes *= np.uint32(2654435761)
     hashes >>= np.uint32(32 - _HASH_BITS)
     return memoryview(hashes), memoryview(words)
+
+
+def _repeats(data: bytes, unit: bytes, pos: int, cap: int) -> int:
+    """How many copies of ``unit`` follow each other from ``data[pos]`` on,
+    counting at most ``cap``.
+
+    Doubling compares: the block doubles while it matches, then halves back
+    down, so a count of k costs O(log k) compares over O(k) bytes.
+    """
+    width = len(unit)
+    room = pos + cap * width
+    end = pos
+    block = unit
+    size = width
+    while end + size <= room and data.startswith(block, end):
+        end += size
+        block += block
+        size += size
+    while size > width:
+        size >>= 1
+        block = block[:size]
+        if end + size <= room and data.startswith(block, end):
+            end += size
+    return (end - pos) // width
 
 
 @register_codec
@@ -131,6 +172,20 @@ class LzrwCodec(Codec):
                 i += length
                 run_start = i
                 miss = 0
+                if packed == _RUN_MATCH:
+                    # If the match's 18 source bytes are one byte value,
+                    # ``i`` sits in a run of it that starts at or before
+                    # ``cand``; each 18 run bytes left then make one more
+                    # of this record, and only ``table[hv]`` moves, to the
+                    # last position seeded.
+                    block = _BYTE_RUNS[data[cand]]
+                    if data.startswith(block, cand):
+                        repeats = _repeats(data, block, i, (n - i) // _MAX_MATCH)
+                        if repeats:
+                            out += _RUN_RECORD * repeats
+                            i += _MAX_MATCH * repeats
+                            run_start = i
+                            table[hv] = i - (_MAX_MATCH - 1)
                 continue
             # Scan acceleration: after a long miss streak, probe sparsely.
             i += 1 + (miss >> 6)
@@ -142,6 +197,7 @@ class LzrwCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
+        data = bytes(data)
         n, pos = checked_uvarint(data, 0, "lzrw size header")
         if n == 0:
             return b""
@@ -190,15 +246,32 @@ class LzrwCodec(Codec):
                         break
                 if pos + 2 > total:
                     raise TruncationError("truncated lzrw match")
-                packed = (data[pos] << 8) | data[pos + 1]
+                hi = data[pos]
+                lo = data[pos + 1]
                 pos += 2
-                length = (packed >> 12) + _MIN_MATCH
-                offset = packed & 0x0FFF
+                length = (hi >> 4) + _MIN_MATCH
+                offset = ((hi & 0x0F) << 8) | lo
                 if offset == 0 or offset > o:
                     raise CorruptionError("invalid lzrw match offset")
                 end = o + length
                 if end > n:
                     raise CorruptionError("lzrw match overruns the output")
+                if (
+                    not run
+                    and pos + 2 < total
+                    and data[pos] == 0
+                    and data[pos + 1] == hi
+                    and data[pos + 2] == lo
+                ):
+                    # Records repeating this one copy on from where it
+                    # stops, so a stretch of them is one longer copy at
+                    # the same offset; it takes only the repeats that fit
+                    # before ``n``, and the loop meets any beyond.
+                    cap = (n - o) // length - 1
+                    repeats = _repeats(data, data[pos : pos + 3], pos, cap)
+                    pos += 3 * repeats
+                    end += length * repeats
+                    length = end - o
                 start = o - offset
                 if offset >= length:
                     view[o:end] = view[start : start + length]

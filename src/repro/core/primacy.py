@@ -290,14 +290,9 @@ def iter_container_records(data: bytes | memoryview, header: ContainerHeader):
     view = memoryview(data) if not isinstance(data, memoryview) else data
     pos = header.records_pos
     for i in range(header.n_chunks):
-        try:
-            record_len, pos = decode_uvarint(view, pos)
-        except ValueError as exc:
-            raise TruncationError(
-                f"record {i} length prefix truncated at byte {pos}",
-                region=f"chunk[{i}]",
-                offset=pos,
-            ) from exc
+        record_len, pos = checked_uvarint(
+            view, pos, f"record {i} length prefix", region=f"chunk[{i}]"
+        )
         record = view[pos : pos + record_len]
         if len(record) != record_len:
             raise TruncationError(

@@ -26,7 +26,6 @@ stay sound, and pairing rules double-check shapes before comparing.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.lint.engine import ModuleContext
@@ -218,17 +217,3 @@ class ProjectIndex:
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         yield from self.functions.values()
-
-    # -- test corpus (for rules that require coverage) -------------------
-
-    def test_files(self, project_root: Path) -> list[tuple[Path, str]]:
-        """``(path, source)`` for every test file under the project root."""
-        tests_dir = project_root / "tests"
-        out: list[tuple[Path, str]] = []
-        if tests_dir.is_dir():
-            for path in sorted(tests_dir.rglob("*.py")):
-                try:
-                    out.append((path, path.read_text(encoding="utf-8")))
-                except (OSError, UnicodeDecodeError):  # pragma: no cover
-                    continue
-        return out

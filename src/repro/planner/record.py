@@ -25,6 +25,7 @@ from repro.compressors.base import (
     CodecError,
     CorruptionError,
     TruncationError,
+    checked_uvarint,
     get_codec,
 )
 from repro.core.idmap import FrequencyIndex
@@ -33,7 +34,7 @@ from repro.core.linearize import Linearization
 from repro.core.primacy import _CHUNK_FLAG_PLANNED, PrimacyCompressor
 from repro.isobar import IsobarConfig, IsobarPartitioner
 from repro.planner.candidates import Candidate
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = [
     "is_planned_record",
@@ -77,13 +78,7 @@ def parse_planned_header(
         raise CorruptionError(
             f"unexpected planned-record flags 0x{record[0]:02x}"
         )
-    pos = 1
-    try:
-        name_len, pos = decode_uvarint(record, pos)
-    except ValueError as exc:
-        raise TruncationError(
-            f"planned header codec name length: {exc}", offset=pos
-        ) from exc
+    name_len, pos = checked_uvarint(record, 1, "planned header codec name length")
     raw_name = bytes(record[pos : pos + name_len])
     if len(raw_name) != name_len:
         raise TruncationError("planned header codec name truncated", offset=pos)
@@ -94,12 +89,7 @@ def parse_planned_header(
         raise CorruptionError(
             f"non-ASCII codec name in planned header: {exc}"
         ) from exc
-    try:
-        high_bytes, pos = decode_uvarint(record, pos)
-    except ValueError as exc:
-        raise TruncationError(
-            f"planned header split width: {exc}", offset=pos
-        ) from exc
+    high_bytes, pos = checked_uvarint(record, pos, "planned header split width")
     if not 1 <= high_bytes <= 3:
         raise CorruptionError(
             f"planned header split width {high_bytes} out of range"

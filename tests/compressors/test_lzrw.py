@@ -184,6 +184,37 @@ _SEGMENTS = st.one_of(
     _random(200, 2000),
     # Literal runs of >= 16,384 bytes (3-byte uvarints).
     _random(16384, 16600),
+    # Byte runs of 18k +- 20 bytes up to 64 KiB, then 0-40 other bytes: a
+    # stretch of identical records that ends where the input nearly does.
+    st.tuples(
+        st.integers(0, 255),
+        st.integers(1, 65536 // 18),
+        st.integers(-20, 20),
+        st.binary(max_size=40),
+    ).map(lambda t: bytes([t[0]]) * max(18 * t[1] + t[2], 1) + t[3]),
+    # A byte run, then within 4 KiB more of the same byte: the second run
+    # reads back the hash-table state the first one left.
+    st.tuples(
+        st.integers(0, 255),
+        st.integers(18, 3000),
+        _random(0, 4000),
+        st.integers(1, 3000),
+    ).map(lambda t: bytes([t[0]]) * t[1] + t[2] + bytes([t[0]]) * t[3]),
+    # Periods 1024 and 2048: stretches of 18-byte matches 1024 or 2048 back.
+    st.tuples(
+        st.sampled_from([1024, 2048]), st.integers(0, 2**32 - 1), st.integers(2, 3)
+    ).map(lambda t: np.random.default_rng(t[1]).bytes(t[0]) * t[2]),
+    # A period-17 repeat, then a byte run: matches 18 long and 17 back whose
+    # source is not one byte value, ending at or near the run.
+    st.tuples(
+        st.binary(min_size=17, max_size=17),
+        st.integers(1, 20),
+        st.integers(-2, 2),
+        st.integers(0, 255),
+        st.integers(18, 200),
+    ).map(
+        lambda t: (t[0] * 30)[: 17 + 18 * t[1] + t[2]] + bytes([t[3]]) * t[4]
+    ),
 )
 
 #: Inputs for the equivalence properties: concatenated segments, plain
@@ -266,6 +297,10 @@ class TestReferenceEquivalence:
             window * 3,
             rng.bytes(300) + b"seed" * 20,
             rng.bytes(16400) + b"tail" * 20,
+            b"\x09" * (18 * 100 + 7) + rng.bytes(20),
+            b"\x05" * 500 + rng.bytes(1000) + b"\x05" * 500,
+            rng.bytes(1024) * 3,
+            (bytes(range(17)) * 4)[:53] + b"\xee" * 100,
         ]
         codec = LzrwCodec()
         for data in cases:
@@ -373,6 +408,39 @@ class TestCorruptStreams:
             with pytest.raises(CorruptionError) as err:
                 codec.decompress(blob)
             assert not isinstance(err.value, TruncationError)
+
+    @staticmethod
+    def _stretch(n: int, repeats: int, tail: bytes = b"") -> bytes:
+        """``b"a" * 19`` from a literal and a 1-back match, then ``repeats``
+        identical records (run 0, 18 bytes, 1 back), then ``tail``."""
+        body = b"\x01a\xf0\x01" + b"\x00\xf0\x01" * repeats + tail
+        return encode_uvarint(n) + b"\x01" + body
+
+    @pytest.mark.parametrize("k", [2, 3, 50])
+    def test_stretch_past_the_size_is_rejected(self, k):
+        # The k-th identical record ends one byte past n: the stretch stops
+        # before it, and the loop raises on it, as the reference does.
+        blob = self._stretch(19 + 18 * k - 1, k + 2)
+        with pytest.raises(CorruptionError, match="overruns"):
+            LzrwCodec().decompress(blob)
+        assert reference_outcome(blob) is None
+
+    def test_stretch_reaching_before_the_output_is_rejected(self):
+        # Two literals and an 18-byte match, then records 21 back: the
+        # stretch's first record reaches before the output starts.
+        blob = encode_uvarint(150) + b"\x01\x02ab\xf0\x01" + b"\x00\xf0\x15" * 8
+        with pytest.raises(CorruptionError, match="offset"):
+            LzrwCodec().decompress(blob)
+        assert reference_outcome(blob) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    def test_stretch_ending_at_the_size_is_accepted(self, k):
+        # A stretch ends exactly at n; the bytes after it, more identical
+        # records and junk, are ignored, as by the reference.
+        n = 19 + 18 * k
+        blob = self._stretch(n, k + 3, b"junk")
+        assert LzrwCodec().decompress(blob) == b"a" * n
+        assert reference_decompress(blob) == b"a" * n
 
     def test_oversized_claim_rejected_before_allocating(self):
         bad = encode_uvarint(2**40) + bytes([1]) + bytes(10)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors import CodecError, evaluate_codec, get_codec
+from repro.compressors.base import CorruptionError, TruncationError
 from repro.core import (
     IndexReusePolicy,
     PrimacyCodec,
@@ -15,6 +16,7 @@ from repro.core import (
     PrimacyConfig,
 )
 from repro.core.linearize import Linearization
+from repro.core.primacy import iter_container_records, parse_container_header
 from repro.datasets import generate_bytes
 
 
@@ -181,6 +183,25 @@ class TestContainerIntegrity:
         out, _ = compressor.compress(smooth_doubles)
         with pytest.raises((CodecError, ValueError)):
             compressor.decompress(out[: len(out) // 2])
+
+    @pytest.mark.parametrize(
+        "prefix, error",
+        [
+            # Ten continuation bytes: too long to be a uvarint at all.
+            (b"\xff" * 10 + b"\x01", CorruptionError),
+            # The container ends inside the length prefix.
+            (b"\x80", TruncationError),
+        ],
+        ids=["over-long", "cut"],
+    )
+    def test_record_length_prefix_is_typed(self, compressor, prefix, error):
+        out, _ = compressor.compress(b"\x00" * 1024)
+        header = parse_container_header(out)
+        damaged = out[: header.records_pos] + prefix
+        with pytest.raises(error) as err:
+            list(iter_container_records(damaged, header))
+        assert type(err.value) is error
+        assert err.value.region == "chunk[0]"
 
     def test_no_checksum_mode(self, smooth_doubles):
         compressor = PrimacyCompressor(

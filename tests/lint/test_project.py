@@ -130,16 +130,3 @@ def test_reachable_from_handles_cycles(tmp_path):
     reached = {fn.name for fn in project.reachable_from([entry])}
     assert reached == {"ping", "pong"}
 
-
-def test_test_files_scans_tests_tree(tmp_path):
-    project = build_project(tmp_path, {"pkg/mod.py": "X = 1\n"})
-    (tmp_path / "tests" / "sub").mkdir(parents=True)
-    (tmp_path / "tests" / "test_top.py").write_text("top\n", encoding="utf-8")
-    (tmp_path / "tests" / "sub" / "test_deep.py").write_text(
-        "deep\n", encoding="utf-8"
-    )
-    files = project.test_files(tmp_path)
-    names = [path.name for path, _ in files]
-    assert names == ["test_deep.py", "test_top.py"]
-    assert [src.strip() for _, src in files] == ["deep", "top"]
-    assert project.test_files(tmp_path / "nowhere") == []

@@ -77,6 +77,20 @@ class TestAdversarialHeaders:
         with pytest.raises(TruncationError):
             parse_planned_header(record)
 
+    @pytest.mark.parametrize(
+        "head",
+        [bytes([0x02]), bytes([0x02, 4]) + b"null"],
+        ids=["codec-name-length", "split-width"],
+    )
+    def test_uvarint_fields_are_typed(self, head):
+        # Ten continuation bytes are too long to be a uvarint at all; a
+        # record ending inside one is cut short.
+        with pytest.raises(CorruptionError) as err:
+            parse_planned_header(head + b"\xff" * 10 + b"\x01")
+        assert not isinstance(err.value, TruncationError)
+        with pytest.raises(TruncationError):
+            parse_planned_header(head + b"\x80")
+
     def test_non_ascii_codec_name(self):
         record = bytes([0x02, 2, 0xFF, 0xFE, 1, 0])
         with pytest.raises(CorruptionError):

@@ -156,10 +156,15 @@ class TestHeadlineNumbers:
 
     def test_primacy_improves_ratio_and_speed_on_hard_data(self):
         data = generate_bytes("gts_chkp_zion", 16384, seed=1)
-        mz = evaluate_codec(get_codec("pyzlib"), data, repeats=2)
-        mp = evaluate_codec(
-            PrimacyCodec(PrimacyConfig(chunk_bytes=len(data))), data, repeats=2
-        )
+        codecs = [
+            get_codec("pyzlib"),
+            PrimacyCodec(PrimacyConfig(chunk_bytes=len(data))),
+        ]
+        # One timed round trip of each codec per round, in alternation, so
+        # a slow phase of a shared host hits both; the best of 5 counts.
+        rounds = [[evaluate_codec(c, data) for c in codecs] for _ in range(5)]
+        mz, mp = rounds[0]
         assert mp.compression_ratio > mz.compression_ratio * 1.05
-        assert mp.compression_mbps > mz.compression_mbps
-        assert mp.decompression_mbps > mz.decompression_mbps
+        for speed in ("compression_mbps", "decompression_mbps"):
+            best = [max(getattr(r[i], speed) for r in rounds) for i in (0, 1)]
+            assert best[1] > best[0], speed
