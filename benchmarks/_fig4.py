@@ -8,14 +8,15 @@ Runs the paper's Sec IV-C/IV-D comparison grid once and caches it:
 run -- the PE/PT, ZE/ZT, LE/LT bars of Fig 4.
 
 The machine is the Jaguar-like environment scaled by (our pyzlib CTP /
-paper zlib CTP) so the compute/communication balance matches the paper's
-testbed; see repro.iosim.environment.
+paper zlib CTP), both averaged over the 20 Table III datasets, so the
+compute/communication balance matches the paper's testbed; see
+repro.iosim.environment.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from _common import dataset_bytes
@@ -26,8 +27,9 @@ from _common import dataset_bytes
 FIG4_VALUES = int(os.environ.get("REPRO_FIG4_VALUES", 131072))
 
 from repro.compressors import get_codec
+from repro.compressors.base import CodecMetrics
 from repro.core import PrimacyConfig
-from repro.datasets import FIGURE4_DATASETS
+from repro.datasets import FIGURE4_DATASETS, dataset_names
 from repro.iosim import (
     CodecStrategy,
     NullStrategy,
@@ -39,7 +41,7 @@ from repro.iosim import (
 )
 from repro.iosim.environment import PAPER_ZLIB_CTP_MBPS, PAPER_ZLIB_DTP_MBPS
 from repro.model import (
-    ModelInputs,
+    calibrate_from_metrics,
     calibrate_from_stats,
     predict_base_read,
     predict_base_write,
@@ -72,7 +74,7 @@ def _make_strategy(name: str, per_node_bytes: int):
     return CodecStrategy(get_codec(name))
 
 
-def _effective_rates(works, direction: str) -> tuple[float, float]:
+def _effective_rates(works) -> tuple[float, float]:
     """(compress_bps, decompress_bps) aggregated over the node works."""
     total = sum(w.original_bytes for w in works)
     tc = sum(w.compress_seconds for w in works)
@@ -82,116 +84,73 @@ def _effective_rates(works, direction: str) -> tuple[float, float]:
     return comp, dec
 
 
-def _theory(env, works, strategy, direction: str, per_node: float) -> float:
+def _theory(env, result, primacy_stats) -> float:
     """Model prediction calibrated from this very run's measurements."""
-    comp_bps, dec_bps = _effective_rates(works, direction)
-    sigma = sum(w.payload_bytes for w in works) / max(
-        sum(w.original_bytes for w in works), 1
+    write = result.direction == "write"
+    machine = dict(
+        chunk_bytes=result.original_bytes / env.rho,
+        rho=env.rho,
+        network_bps=env.network_write_bps if write else env.network_read_bps,
+        disk_write_bps=env.disk_write_bps,
+        disk_read_bps=env.disk_read_bps,
     )
-    if strategy == "null":
-        inputs = ModelInputs(
-            chunk_bytes=per_node,
-            rho=env.rho,
-            network_bps=(
-                env.network_write_bps if direction == "write" else env.network_read_bps
-            ),
-            disk_write_bps=env.disk_write_bps,
-            disk_read_bps=env.disk_read_bps,
-            preconditioner_bps=float("inf"),
-            compressor_bps=float("inf"),
-            alpha1=0.0,
-            alpha2=0.0,
-        )
-        out = (
-            predict_base_write(inputs)
-            if direction == "write"
-            else predict_base_read(inputs)
-        )
-        return out.throughput_mbps(inputs)
-
-    if strategy == "primacy":
+    comp_bps, dec_bps = _effective_rates(result.node_works)
+    if result.strategy == "primacy":
         # alpha/sigma structure from the PRIMACY stats of this run; the
         # compute rates from the measured wall times (the paper likewise
         # measures T_prec / T_comp on the target machine).
-        stats = _theory.primacy_stats[direction]
-        inputs = calibrate_from_stats(
-            stats,
-            chunk_bytes=per_node,
-            rho=env.rho,
-            network_bps=(
-                env.network_write_bps if direction == "write" else env.network_read_bps
-            ),
-            disk_write_bps=env.disk_write_bps,
-            disk_read_bps=env.disk_read_bps,
-        )
-        if direction == "read":
+        inputs = calibrate_from_stats(primacy_stats, **machine)
+        if not write:
             # Effective inverse-pipeline rate measured on this run: charge
             # it across the model's decompression + re-preconditioning
             # stages proportionally.
             a1, a2 = inputs.alpha1, inputs.alpha2
-            weight = (a1 + a2 * (1 - a1)) + (2 - a1)
-            rate = dec_bps * weight
-            inputs = ModelInputs(
-                chunk_bytes=inputs.chunk_bytes,
-                rho=inputs.rho,
-                network_bps=inputs.network_bps,
-                disk_write_bps=inputs.disk_write_bps,
-                disk_read_bps=inputs.disk_read_bps,
-                preconditioner_bps=inputs.preconditioner_bps,
-                compressor_bps=inputs.compressor_bps,
-                decompressor_bps=rate,
-                repreconditioner_bps=rate,
-                alpha1=a1,
-                alpha2=a2,
-                sigma_ho=inputs.sigma_ho,
-                sigma_lo=inputs.sigma_lo,
-                metadata_bytes=inputs.metadata_bytes,
+            rate = dec_bps * ((a1 + a2 * (1 - a1)) + (2 - a1))
+            inputs = replace(
+                inputs, decompressor_bps=rate, repreconditioner_bps=rate
             )
-            return predict_compressed_read(inputs).throughput_mbps(inputs)
-        return predict_compressed_write(inputs).throughput_mbps(inputs)
-
-    # Vanilla whole-chunk codec (zlib / lzo bars).
-    inputs = ModelInputs(
-        chunk_bytes=per_node,
-        rho=env.rho,
-        network_bps=(
-            env.network_write_bps if direction == "write" else env.network_read_bps
-        ),
-        disk_write_bps=env.disk_write_bps,
-        disk_read_bps=env.disk_read_bps,
-        preconditioner_bps=float("inf"),
-        compressor_bps=comp_bps,
-        decompressor_bps=dec_bps,
-        repreconditioner_bps=float("inf"),
-        alpha1=1.0,
-        alpha2=0.0,
-        sigma_ho=sigma,
-        sigma_lo=1.0,
-    )
-    out = (
-        predict_compressed_write(inputs)
-        if direction == "write"
-        else predict_compressed_read(inputs)
-    )
-    return out.throughput_mbps(inputs)
+    else:
+        # Null and vanilla whole-chunk codecs (the zlib / lzo bars).
+        metrics = CodecMetrics(
+            codec=result.strategy,
+            original_bytes=result.original_bytes,
+            compressed_bytes=result.payload_bytes,
+            compression_ratio=1.0 / result.compressed_fraction,
+            compression_mbps=comp_bps / 1e6,
+            decompression_mbps=dec_bps / 1e6,
+        )
+        inputs = calibrate_from_metrics(metrics, **machine)
+    if result.strategy == "null":
+        predict = predict_base_write if write else predict_base_read
+    else:
+        predict = predict_compressed_write if write else predict_compressed_read
+    return predict(inputs).throughput_mbps(inputs)
 
 
-_theory.primacy_stats = {}
+def _pyzlib_reference_bps(measure, samples: list[bytes]) -> float:
+    """``pyzlib`` total bytes over total time across ``samples``."""
+    codec = get_codec("pyzlib")
+    seconds = sum(len(s) / measure(codec, s, repeats=2) for s in samples)
+    return sum(len(s) for s in samples) / seconds
 
 
 @lru_cache(maxsize=1)
 def fig4_grid() -> tuple[float, dict[tuple[str, str, str], Fig4Cell]]:
     """Compute the whole Fig-4 grid once; returns (scale, cells)."""
     # Calibrate the machine against pyzlib measured at the *per-node*
-    # chunk size, since that is the granularity compute nodes work at.
-    full = dataset_bytes("obs_temp", FIG4_VALUES)
-    per_node_bytes = len(full) // 8
-    reference = full[:per_node_bytes]
-    scale = measure_reference_throughput(
-        get_codec("pyzlib"), reference, repeats=2
-    ) / (PAPER_ZLIB_CTP_MBPS * 1e6)
-    read_scale = measure_reference_decompression(
-        get_codec("pyzlib"), reference, repeats=2
+    # chunk size, since that is the granularity compute nodes work at,
+    # and over every dataset, as the paper's zlib CTP/DTP average over
+    # Table III.
+    per_node_bytes = len(dataset_bytes("obs_temp", FIG4_VALUES)) // 8
+    references = [
+        dataset_bytes(name, FIG4_VALUES)[:per_node_bytes]
+        for name in dataset_names()
+    ]
+    scale = _pyzlib_reference_bps(measure_reference_throughput, references) / (
+        PAPER_ZLIB_CTP_MBPS * 1e6
+    )
+    read_scale = _pyzlib_reference_bps(
+        measure_reference_decompression, references
     ) / (PAPER_ZLIB_DTP_MBPS * 1e6)
     env = jaguar_like_environment(scale, read_scale=read_scale)
     sim = StagingSimulator(env)
@@ -207,11 +166,8 @@ def fig4_grid() -> tuple[float, dict[tuple[str, str, str], Fig4Cell]]:
                     if direction == "write"
                     else sim.simulate_read(data, strategy)
                 )
-                if strat_name == "primacy":
-                    _theory.primacy_stats[direction] = strategy.last_stats
-                per_node = result.original_bytes / env.rho
                 theory = _theory(
-                    env, result.node_works, strat_name, direction, per_node
+                    env, result, getattr(strategy, "last_stats", None)
                 )
                 cells[(dataset, strat_name, direction)] = Fig4Cell(
                     dataset=dataset,

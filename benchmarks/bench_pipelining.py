@@ -18,7 +18,6 @@ from repro.iosim import (
     PrimacyStrategy,
     StagingSimulator,
     jaguar_like_environment,
-    simulate_write_pipelined,
 )
 
 _N_VALUES = 65536
@@ -44,12 +43,12 @@ def test_pipelining_amplifies_compression_gain(once):
         ]:
             strat = strategy_factory()
             bsp = sim.simulate_write(data, strat)
-            piped = simulate_write_pipelined(sim, data, strat, _N_STEPS)
+            piped = sim.simulate_write(data, strat)
             rows.append(
                 (
                     label,
-                    _N_STEPS * bsp.original_bytes / (_N_STEPS * bsp.t_total) / 1e6,
-                    piped.throughput_mbps,
+                    bsp.throughput_mbps,
+                    piped.pipelined_throughput_bps(_N_STEPS) / 1e6,
                     piped.bottleneck,
                 )
             )

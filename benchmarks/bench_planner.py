@@ -50,6 +50,7 @@ from _common import BENCH_SEED, Table, geometric_mean
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import dataset_names, generate_bytes
+from repro.model import StepTimes, tau
 from repro.planner import DEFAULT_CANDIDATES, PlannedCompressor, PlannerConfig
 from repro.planner.planner import overhead_fraction
 
@@ -69,11 +70,18 @@ def _score(n_bytes: int, out_bytes: int, seconds: float, theta_mbps: float) -> f
     """CR x sustained end-to-end MB/s at a ``theta``-limited link.
 
     Compute and transfer overlap across chunks in steady state, so the
-    bottleneck stage (not the serial sum) sets the sustained rate.
+    bottleneck stage (not the serial sum) sets the sustained rate: the
+    planner's objective, the model's pipelined steady state of one node
+    with no disk stage, here with measured compute time.
     """
-    ratio = n_bytes / max(out_bytes, 1)
-    t_total = max(seconds, out_bytes / (theta_mbps * 1e6))
-    return ratio * (n_bytes / t_total / 1e6)
+    step = StepTimes(
+        original_bytes=n_bytes,
+        payload_bytes=out_bytes,
+        t_compute=seconds,
+        t_transfer=out_bytes / (theta_mbps * 1e6),
+        t_disk=0.0,
+    )
+    return n_bytes / max(out_bytes, 1) * (tau(n_bytes, step.t_steady) / 1e6)
 
 
 def _best_seconds(fn, repeats: int) -> float:

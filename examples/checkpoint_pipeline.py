@@ -29,6 +29,7 @@ from repro.iosim import (
     measure_reference_throughput,
 )
 from repro.iosim.environment import PAPER_ZLIB_CTP_MBPS, PAPER_ZLIB_DTP_MBPS
+from repro.model import tau
 
 N_VALUES = 65536  # 512 KiB checkpoint per step
 N_STEPS = 3
@@ -65,15 +66,16 @@ def main() -> None:
     print(f"{'strategy':16s} {'write MB/s':>11s} {'read MB/s':>10s} "
           f"{'bytes moved':>12s} {'ckpt time':>10s}")
     for name, strategy in strategies.items():
-        write_t = read_t = moved = 0.0
+        write_t = read_t = moved = stored = 0.0
         for _ in range(N_STEPS):
             w = sim.simulate_write(checkpoint, strategy)
             r = sim.simulate_read(checkpoint, strategy)
             write_t += w.t_total
             read_t += r.t_total
             moved += w.payload_bytes
-        n = N_STEPS * (len(checkpoint) - len(checkpoint) % 64)
-        print(f"{name:16s} {n / write_t / 1e6:11.2f} {n / read_t / 1e6:10.2f} "
+            stored += w.original_bytes
+        print(f"{name:16s} {tau(stored, write_t) / 1e6:11.2f} "
+              f"{tau(stored, read_t) / 1e6:10.2f} "
               f"{moved / 1e6:10.1f}MB {write_t:9.2f}s")
 
     print()

@@ -1232,8 +1232,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
         ("primacy read", predict_compressed_read(inputs)),
     ]
     for label, out in rows:
-        print(f"{label:14s} tau = {out.throughput_mbps(inputs):8.2f} MB/s "
-              f"(t_total = {out.t_total:.4f}s)")
+        step = out.step(inputs)
+        print(f"{label:14s} tau = {step.throughput_mbps:8.2f} MB/s "
+              f"(t_total = {step.t_total:.4f}s)")
     return EXIT_OK
 
 

@@ -21,8 +21,8 @@ Sec V claim) is implementation-independent.
 
 from __future__ import annotations
 
-from repro.compressors.base import Codec, CodecError, register_codec
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.compressors.base import Codec, CodecError, checked_uvarint, register_codec
+from repro.util.varint import encode_uvarint
 
 __all__ = ["FpcCodec"]
 
@@ -117,7 +117,7 @@ class FpcCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        total_len, pos = decode_uvarint(data, 0)
+        total_len, pos = checked_uvarint(data, 0, "fpc size header")
         if pos >= len(data) and total_len > 0:
             raise CodecError("truncated fpc stream")
         if total_len == 0:
@@ -129,7 +129,7 @@ class FpcCodec(Codec):
         n_values, tail_len = divmod(total_len, 8)
         tail = data[pos : pos + tail_len]
         pos += tail_len
-        n_headers, pos = decode_uvarint(data, pos)
+        n_headers, pos = checked_uvarint(data, pos, "fpc header count")
         headers = data[pos : pos + n_headers]
         if len(headers) != n_headers:
             raise CodecError("truncated fpc headers")

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Codec, CodecError, register_codec
+from repro.compressors.base import Codec, CodecError, checked_uvarint, register_codec
 from repro.compressors.huffman import decode_symbol_block, encode_symbol_block
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import encode_uvarint
 
 __all__ = ["FpzipCodec", "float_to_ordered", "ordered_to_float"]
 
@@ -166,18 +166,20 @@ class FpzipCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        total_len, pos = decode_uvarint(data, 0)
+        total_len, pos = checked_uvarint(data, 0, "fpzip size header")
         n_values, tail_len = divmod(total_len, 8)
         tail = data[pos : pos + tail_len]
         pos += tail_len
         if n_values == 0:
             return tail
-        ndim, pos = decode_uvarint(data, pos)
+        ndim, pos = checked_uvarint(data, pos, "fpzip dimension count")
         shape = []
         for _ in range(ndim):
-            s, pos = decode_uvarint(data, pos)
+            s, pos = checked_uvarint(data, pos, "fpzip dimension")
             shape.append(s)
         shape = tuple(shape)
+        if 0 in shape:
+            raise CodecError("corrupt fpzip shape")
         if pos >= len(data):
             raise CodecError("truncated fpzip stream")
         tz = data[pos]
@@ -188,7 +190,9 @@ class FpzipCodec(Codec):
         nb = nb.astype(np.int64)
         if nb.size != n_values:
             raise CodecError("fpzip symbol count mismatch")
-        payload_len, pos = decode_uvarint(data, pos)
+        payload_len, pos = checked_uvarint(data, pos, "fpzip payload length")
+        if pos + payload_len > len(data):
+            raise CodecError("truncated fpzip payload")
         payload = np.frombuffer(data, dtype=np.uint8, count=payload_len, offset=pos)
         if int(nb.sum()) != payload_len:
             raise CodecError("fpzip payload length mismatch")

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Codec, CodecError, register_codec
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.compressors.base import Codec, CodecError, checked_uvarint, register_codec
+from repro.util.varint import encode_uvarint
 
 __all__ = ["RangeCoderCodec", "RangeEncoder", "RangeDecoder"]
 
@@ -179,7 +179,7 @@ class RangeCoderCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        n, pos = decode_uvarint(data, 0)
+        n, pos = checked_uvarint(data, 0, "range-coder size header")
         if pos >= len(data):
             raise CodecError("truncated range-coded stream")
         order = data[pos]
@@ -201,4 +201,9 @@ class RangeCoderCodec(Codec):
                 byte = ctx & 0xFF
                 out.append(byte)
                 prev = byte
+        # The decoder pads a short stream with zeros; a whole stream is
+        # never read past its end, so having needed the padding means the
+        # stream was cut.
+        if dec.pos > len(dec.data):
+            raise CodecError("truncated range-coded stream")
         return bytes(out)

@@ -17,8 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import Codec, CodecError, get_codec, register_codec
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.compressors.base import (
+    Codec,
+    CodecError,
+    checked_uvarint,
+    get_codec,
+    register_codec,
+)
+from repro.util.varint import encode_uvarint
 
 __all__ = ["ShuffleCodec"]
 
@@ -69,12 +75,13 @@ class ShuffleCodec(Codec):
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        total, pos = decode_uvarint(data, 0)
-        word, pos = decode_uvarint(data, pos)
+        total, pos = checked_uvarint(data, 0, "shuffle size header")
+        word, pos = checked_uvarint(data, pos, "shuffle word size")
         if word < 1:
             raise CodecError("corrupt shuffle word size")
-        name_len, pos = decode_uvarint(data, pos)
-        backend_name = data[pos : pos + name_len].decode("ascii")
+        name_len, pos = checked_uvarint(data, pos, "shuffle backend name length")
+        # A non-ascii name decodes to no registered codec: a CodecError below.
+        backend_name = data[pos : pos + name_len].decode("ascii", "replace")
         pos += name_len
         if backend_name == self.backend.name:
             backend = self.backend
@@ -86,7 +93,7 @@ class ShuffleCodec(Codec):
         n_words, tail_len = divmod(total, word)
         tail = data[pos : pos + tail_len]
         pos += tail_len
-        payload_len, pos = decode_uvarint(data, pos)
+        payload_len, pos = checked_uvarint(data, pos, "shuffle payload length")
         payload = data[pos : pos + payload_len]
         if len(payload) != payload_len:
             raise CodecError("truncated shuffle payload")

@@ -16,7 +16,9 @@ compute-to-I/O-node ratio.  That machine is simulated here:
 * :mod:`repro.iosim.simulator` -- composes measured compute times with
   simulated network/disk times under the paper's bulk-synchronous model,
   yielding the "empirical" end-to-end throughputs that Fig 4 compares
-  against the analytical model's "theoretical" ones.
+  against the analytical model's "theoretical" ones.  Each step is the
+  model's :class:`repro.model.StepTimes`, so its pipelined
+  (double-buffered) forms come with it.
 """
 
 from repro.iosim.cluster import ClusterResult, StagingCluster
@@ -26,7 +28,6 @@ from repro.iosim.environment import (
     measure_reference_decompression,
     measure_reference_throughput,
 )
-from repro.iosim.pipelined import PipelinedRun, simulate_write_pipelined
 from repro.iosim.simulator import SimResult, StagingSimulator
 from repro.iosim.trace import Span, Timeline, timeline_from_result
 from repro.iosim.strategy import (
@@ -45,8 +46,6 @@ __all__ = [
     "measure_reference_throughput",
     "StagingSimulator",
     "SimResult",
-    "PipelinedRun",
-    "simulate_write_pipelined",
     "Span",
     "Timeline",
     "timeline_from_result",

@@ -20,6 +20,7 @@ from typing import Callable
 from repro.iosim.environment import StagingEnvironment
 from repro.iosim.simulator import SimResult, StagingSimulator
 from repro.iosim.strategy import CompressionStrategy
+from repro.model import tau
 
 __all__ = ["ClusterResult", "StagingCluster"]
 
@@ -51,9 +52,7 @@ class ClusterResult:
     @property
     def throughput_bps(self) -> float:
         """End-to-end throughput in bytes/second (Eqn 3)."""
-        if self.makespan == 0:
-            return float("inf")
-        return self.original_bytes / self.makespan
+        return tau(self.original_bytes, self.makespan)
 
     @property
     def throughput_mbps(self) -> float:
@@ -102,15 +101,7 @@ class StagingCluster:
         strategy_factory: Callable[[], CompressionStrategy],
     ) -> ClusterResult:
         """One bulk-synchronous write step across all groups."""
-        results = []
-        for sim, shard in zip(self._sims, self._shards(dataset)):
-            results.append(sim.simulate_write(shard, strategy_factory()))
-        return ClusterResult(
-            direction="write",
-            strategy=results[0].strategy,
-            n_groups=self.n_groups,
-            group_results=tuple(results),
-        )
+        return self._simulate("write", dataset, strategy_factory)
 
     def simulate_read(
         self,
@@ -118,12 +109,21 @@ class StagingCluster:
         strategy_factory: Callable[[], CompressionStrategy],
     ) -> ClusterResult:
         """One bulk-synchronous read step across all groups."""
-        results = []
-        for sim, shard in zip(self._sims, self._shards(dataset)):
-            results.append(sim.simulate_read(shard, strategy_factory()))
+        return self._simulate("read", dataset, strategy_factory)
+
+    def _simulate(
+        self,
+        direction: str,
+        dataset: bytes,
+        strategy_factory: Callable[[], CompressionStrategy],
+    ) -> ClusterResult:
+        results = tuple(
+            sim._simulate(direction, shard, strategy_factory())
+            for sim, shard in zip(self._sims, self._shards(dataset))
+        )
         return ClusterResult(
-            direction="read",
+            direction=direction,
             strategy=results[0].strategy,
             n_groups=self.n_groups,
-            group_results=tuple(results),
+            group_results=results,
         )

@@ -14,9 +14,12 @@ up to measurement noise, as they do in Fig 4):
 * Reads run the inverse order: disk read, transfer, then parallel
   decompression at the compute nodes.
 
-End-to-end throughput is :math:`\\tau = \\rho C / t_{total}` (Eqn 3), where
-C counts *original* bytes -- compression helps by shrinking only the
-transfer and disk terms.
+The network and disk terms are the model's own
+(:func:`repro.model.io_node_times`), and each step is the model's step
+record, so end-to-end throughput is :math:`\\tau = \\rho C / t_{total}`
+(Eqn 3), where C counts *original* bytes -- compression helps by
+shrinking only the transfer and disk terms.  What the simulator adds is
+measured per-node compute, seeded jitter and the max across nodes.
 """
 
 from __future__ import annotations
@@ -27,47 +30,18 @@ import numpy as np
 
 from repro.iosim.environment import StagingEnvironment
 from repro.iosim.strategy import ChunkWork, CompressionStrategy
+from repro.model import StepTimes, io_node_times
 
 __all__ = ["SimResult", "StagingSimulator"]
 
 
-@dataclass(frozen=True)
-class SimResult:
+@dataclass(frozen=True, kw_only=True)
+class SimResult(StepTimes):
     """Outcome of one simulated bulk-synchronous I/O step."""
 
     direction: str  # "write" or "read"
     strategy: str
-    rho: int
-    original_bytes: int  # total across compute nodes
-    payload_bytes: int  # total compressed bytes moved
-    t_compute: float  # parallel compute stage (max over nodes)
-    t_transfer: float
-    t_disk: float
     node_works: tuple[ChunkWork, ...] = field(default=(), repr=False)
-
-    @property
-    def t_total(self) -> float:
-        """Total step time: the sum of all stage times."""
-        return self.t_compute + self.t_transfer + self.t_disk
-
-    @property
-    def throughput_bps(self) -> float:
-        """End-to-end throughput in bytes/second (Eqn 3)."""
-        if self.t_total == 0:
-            return float("inf")
-        return self.original_bytes / self.t_total
-
-    @property
-    def throughput_mbps(self) -> float:
-        """End-to-end throughput in MB/s."""
-        return self.throughput_bps / 1e6
-
-    @property
-    def compressed_fraction(self) -> float:
-        """Payload bytes over original bytes."""
-        if self.original_bytes == 0:
-            return 1.0
-        return self.payload_bytes / self.original_bytes
 
 
 class StagingSimulator:
@@ -98,48 +72,38 @@ class StagingSimulator:
         factor = self._rng.lognormal(mean=0.0, sigma=self.env.jitter)
         return seconds * factor
 
-    # -- write -------------------------------------------------------------
+    # -- steps -------------------------------------------------------------
 
     def simulate_write(
         self, dataset: bytes, strategy: CompressionStrategy
     ) -> SimResult:
         """One bulk-synchronous write step of ``dataset`` through this group."""
-        works = [strategy.process_chunk(c) for c in self._node_chunks(dataset)]
-        t_compute = max(self._jittered(w.compress_seconds) for w in works)
-        payload_total = sum(w.payload_bytes for w in works)
-        # Eqn 4/11: contention scales the serialized transfer by (1 + rho)/rho
-        # relative to payload/theta per node -- aggregate form below.
-        t_transfer = (
-            (1.0 + self.env.rho) * (payload_total / self.env.rho)
-        ) / self.env.network_write_bps
-        t_disk = payload_total / self.env.disk_write_bps
-        return SimResult(
-            direction="write",
-            strategy=strategy.name,
-            rho=self.env.rho,
-            original_bytes=sum(w.original_bytes for w in works),
-            payload_bytes=payload_total,
-            t_compute=t_compute,
-            t_transfer=t_transfer,
-            t_disk=t_disk,
-            node_works=tuple(works),
-        )
-
-    # -- read --------------------------------------------------------------
+        return self._simulate("write", dataset, strategy)
 
     def simulate_read(
         self, dataset: bytes, strategy: CompressionStrategy
     ) -> SimResult:
         """One bulk-synchronous read step (inverse order of operations)."""
+        return self._simulate("read", dataset, strategy)
+
+    def _simulate(
+        self, direction: str, dataset: bytes, strategy: CompressionStrategy
+    ) -> SimResult:
         works = [strategy.process_chunk(c) for c in self._node_chunks(dataset)]
+        write = direction == "write"
+        t_compute = max(
+            self._jittered(w.compress_seconds if write else w.decompress_seconds)
+            for w in works
+        )
         payload_total = sum(w.payload_bytes for w in works)
-        t_disk = payload_total / self.env.disk_read_bps
-        t_transfer = (
-            (1.0 + self.env.rho) * (payload_total / self.env.rho)
-        ) / self.env.network_read_bps
-        t_compute = max(self._jittered(w.decompress_seconds) for w in works)
+        t_transfer, t_disk = io_node_times(
+            payload_total,
+            self.env.rho,
+            self.env.network_write_bps if write else self.env.network_read_bps,
+            self.env.disk_write_bps if write else self.env.disk_read_bps,
+        )
         return SimResult(
-            direction="read",
+            direction=direction,
             strategy=strategy.name,
             rho=self.env.rho,
             original_bytes=sum(w.original_bytes for w in works),

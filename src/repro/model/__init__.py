@@ -6,9 +6,11 @@ compute nodes, and validates the model against Jaguar XK6 measurements
 (Fig 4).  This package implements:
 
 * :mod:`repro.model.params` -- the input/output symbol tables (Tables I
-  and II) as dataclasses.
+  and II) as dataclasses, and the one step record :class:`StepTimes`
+  with its bulk-synchronous sum, pipelined forms and Eqn-3 throughput.
 * :mod:`repro.model.pipeline` -- the write model (Eqns 3-13), the mirrored
-  read model, and the uncompressed base case.
+  read model, the uncompressed base case, and the I/O-node terms
+  (:func:`io_node_times`) that the staging simulator shares.
 * :mod:`repro.model.calibrate` -- builds model inputs from measured
   compression runs (:class:`repro.core.PrimacyStats` or plain codec
   metrics).
@@ -19,8 +21,9 @@ from repro.model.calibrate import (
     calibrate_from_stats,
 )
 from repro.model.fit import MachineFit, fit_machine, fit_model_inputs, fit_rate
-from repro.model.params import ModelInputs, ModelOutputs
+from repro.model.params import ModelInputs, ModelOutputs, StepTimes, tau
 from repro.model.pipeline import (
+    io_node_times,
     predict_base_read,
     predict_base_write,
     predict_compressed_read,
@@ -30,6 +33,9 @@ from repro.model.pipeline import (
 __all__ = [
     "ModelInputs",
     "ModelOutputs",
+    "StepTimes",
+    "tau",
+    "io_node_times",
     "predict_base_write",
     "predict_base_read",
     "predict_compressed_write",

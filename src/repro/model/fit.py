@@ -4,10 +4,11 @@ The paper's model needs (theta, mu, T_prec, T_comp) for the *target*
 system.  When those aren't documented, they can be recovered from a few
 observed bulk-synchronous steps: each stage's time is linear in the bytes
 it moves, so a least-squares line through the origin per stage yields the
-effective rates.  This module fits
-:class:`~repro.iosim.simulator.SimResult` observations (or any
-(bytes, seconds) samples) back into :class:`~repro.model.params.ModelInputs`
--- closing the loop measure -> fit -> predict.
+effective rates.  This module fits observed
+:class:`~repro.model.params.StepTimes` (such as the staging simulator's
+results, or any (bytes, seconds) samples) back into
+:class:`~repro.model.params.ModelInputs` -- closing the loop measure ->
+fit -> predict.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.iosim.simulator import SimResult
-from repro.model.params import ModelInputs
+from repro.model.params import ModelInputs, StepTimes
+from repro.model.pipeline import io_node_times
 
 __all__ = ["MachineFit", "fit_rate", "fit_machine", "fit_model_inputs"]
 
@@ -78,12 +79,12 @@ class MachineFit:
         )
 
 
-def fit_machine(results: Iterable[SimResult]) -> MachineFit:
+def fit_machine(results: Iterable[StepTimes]) -> MachineFit:
     """Recover (theta, mu, compute rate) from observed step results.
 
-    Inverts the model's stage formulas: for a write,
-    ``t_transfer = (1 + rho) * (P / rho) / theta`` and
-    ``t_disk = P / mu`` where ``P`` is the step's payload bytes.
+    Inverts :func:`~repro.model.pipeline.io_node_times`: at unit rates it
+    gives the bytes each I/O-node stage charges for a step's payload, and
+    the stage's rate is the line through those (bytes, seconds) samples.
     Compute rate is fitted against *original* bytes (compression
     throughput is reported relative to input size, Eqn 2).
     """
@@ -94,45 +95,43 @@ def fit_machine(results: Iterable[SimResult]) -> MachineFit:
     disk_samples = []
     comp_samples = []
     for r in results:
-        eff_net_bytes = (1 + r.rho) * (r.payload_bytes / r.rho)
-        net_samples.append((eff_net_bytes, r.t_transfer))
-        disk_samples.append((r.payload_bytes, r.t_disk))
+        net_bytes, disk_bytes = io_node_times(r.payload_bytes, r.rho, 1.0, 1.0)
+        net_samples.append((net_bytes, r.t_transfer))
+        disk_samples.append((disk_bytes, r.t_disk))
         if r.t_compute > 0:
             comp_samples.append((r.original_bytes, r.t_compute))
 
-    fit = MachineFit(
-        network_bps=fit_rate(net_samples),
-        disk_bps=fit_rate(disk_samples),
-        compute_bps=fit_rate(comp_samples) if comp_samples else float("inf"),
-        n_samples=len(results),
-        residual=0.0,
-    )
+    network_bps = fit_rate(net_samples)
+    disk_bps = fit_rate(disk_samples)
+    compute_bps = fit_rate(comp_samples) if comp_samples else float("inf")
     # Reconstruction residual: how well the fitted rates explain totals.
     rel_errors = []
     for r in results:
-        predicted = (
-            (1 + r.rho) * (r.payload_bytes / r.rho) / fit.network_bps
-            + r.payload_bytes / fit.disk_bps
-            + (
-                r.original_bytes / fit.compute_bps
-                if fit.compute_bps != float("inf")
-                else 0.0
-            )
+        t_transfer, t_disk = io_node_times(
+            r.payload_bytes, r.rho, network_bps, disk_bps
+        )
+        predicted = StepTimes(
+            original_bytes=r.original_bytes,
+            payload_bytes=r.payload_bytes,
+            t_compute=r.original_bytes / compute_bps,
+            t_transfer=t_transfer,
+            t_disk=t_disk,
+            rho=r.rho,
         )
         if r.t_total > 0:
-            rel_errors.append((predicted - r.t_total) / r.t_total)
+            rel_errors.append((predicted.t_total - r.t_total) / r.t_total)
     residual = float(np.sqrt(np.mean(np.square(rel_errors)))) if rel_errors else 0.0
     return MachineFit(
-        network_bps=fit.network_bps,
-        disk_bps=fit.disk_bps,
-        compute_bps=fit.compute_bps,
-        n_samples=fit.n_samples,
+        network_bps=network_bps,
+        disk_bps=disk_bps,
+        compute_bps=compute_bps,
+        n_samples=len(results),
         residual=residual,
     )
 
 
 def fit_model_inputs(
-    results: Iterable[SimResult],
+    results: Iterable[StepTimes],
     *,
     chunk_bytes: float,
     rho: float,

@@ -1,16 +1,97 @@
-"""Model parameter tables (paper Tables I and II).
+"""Model parameter tables (paper Tables I and II) and the one step record.
 
 All throughputs are in bytes/second and sizes in bytes; converting the
 paper's MB/s axes is the caller's concern.  :math:`\\sigma` follows
 Table I's convention -- *compressed vs original*, i.e. the inverse of the
 compression ratio CR.
+
+:class:`StepTimes` is Sec III's composition, written down once: the
+model's predictions (:meth:`ModelOutputs.step`), the simulator's steps
+(:class:`repro.iosim.SimResult`) and the planner's candidate scores all
+sum, overlap and divide their stage times through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["ModelInputs", "ModelOutputs"]
+__all__ = ["ModelInputs", "ModelOutputs", "StepTimes", "tau"]
+
+
+def tau(original_bytes: float, seconds: float) -> float:
+    """Eqn 3: end-to-end throughput, original bytes over time (inf at 0 s)."""
+    if seconds == 0:
+        return float("inf")
+    return original_bytes / seconds
+
+
+@dataclass(frozen=True)
+class StepTimes:
+    """One staging step: the bytes it moves and its three stage times.
+
+    ``original_bytes`` is what the step stores (rho C across its compute
+    nodes) and ``payload_bytes`` what crosses the network.  ``t_compute``
+    runs in parallel on the compute nodes; ``t_transfer`` and ``t_disk``
+    serialize at the I/O node that ``rho`` compute nodes share (1: one
+    node alone).
+    """
+
+    original_bytes: float
+    payload_bytes: float
+    t_compute: float
+    t_transfer: float
+    t_disk: float
+    rho: float = 1.0
+
+    @property
+    def t_total(self) -> float:
+        """Bulk-synchronous step time (Eqns 6/13): the stages in sequence."""
+        return self.t_compute + self.t_transfer + self.t_disk
+
+    @property
+    def t_steady(self) -> float:
+        """Pipelined steady-state step time: compute overlaps the I/O stage."""
+        return max(self.t_compute, self.t_transfer + self.t_disk)
+
+    def makespan(self, n_steps: int) -> float:
+        """Pipelined run of ``n_steps`` such steps.
+
+        The first compute fills the pipeline and the last transfer and
+        disk stage drain it; every step between costs :attr:`t_steady`.
+        """
+        if n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+        return (
+            self.t_compute
+            + (n_steps - 1) * self.t_steady
+            + (self.t_transfer + self.t_disk)
+        )
+
+    @property
+    def bottleneck(self) -> str:
+        """The stage that limits the pipelined steady state."""
+        return "compute" if self.t_compute > self.t_transfer + self.t_disk else "io"
+
+    @property
+    def throughput_bps(self) -> float:
+        """Bulk-synchronous end-to-end throughput in bytes/second (Eqn 3)."""
+        return tau(self.original_bytes, self.t_total)
+
+    @property
+    def throughput_mbps(self) -> float:
+        """Bulk-synchronous end-to-end throughput in MB/s."""
+        return self.throughput_bps / 1e6
+
+    def pipelined_throughput_bps(self, n_steps: int) -> float:
+        """Eqn 3 over a pipelined run of ``n_steps`` steps."""
+        return tau(n_steps * self.original_bytes, self.makespan(n_steps))
+
+    @property
+    def compressed_fraction(self) -> float:
+        """Payload bytes over original bytes."""
+        if self.original_bytes == 0:
+            return 1.0
+        return self.payload_bytes / self.original_bytes
 
 
 @dataclass(frozen=True)
@@ -123,9 +204,10 @@ class ModelInputs:
 class ModelOutputs:
     """Outputs of the performance model (paper Table II).
 
-    Times are per bulk-synchronous step, in seconds; ``throughput_bps`` is
-    the end-to-end aggregate throughput :math:`\\tau = \\rho C / t_{total}`
-    (Eqn 3).
+    Stage times are per bulk-synchronous step, in seconds: Eqns 7-10 one
+    by one, then the I/O node's transfer and disk (write or read) time.
+    ``out_fraction`` is the share of the original bytes that crosses the
+    network (1 without compression).
     """
 
     t_precondition1: float = 0.0
@@ -134,26 +216,29 @@ class ModelOutputs:
     t_compress2: float = 0.0
     t_transfer: float = 0.0
     t_write: float = 0.0
-    extras: dict = field(default_factory=dict)
+    out_fraction: float = 1.0
 
-    @property
-    def t_total(self) -> float:
-        """Total step time: the sum of all stage times."""
-        return (
-            self.t_precondition1
-            + self.t_precondition2
-            + self.t_compress1
-            + self.t_compress2
-            + self.t_transfer
-            + self.t_write
+    def step(self, inputs: ModelInputs) -> StepTimes:
+        """This prediction as a step of rho chunks; Eqns 7-10 are its compute."""
+        original = inputs.rho * inputs.chunk_bytes
+        return StepTimes(
+            original_bytes=original,
+            payload_bytes=original * self.out_fraction,
+            t_compute=(
+                self.t_precondition1
+                + self.t_precondition2
+                + self.t_compress1
+                + self.t_compress2
+            ),
+            t_transfer=self.t_transfer,
+            t_disk=self.t_write,
+            rho=inputs.rho,
         )
 
-    def throughput_bps(self, inputs: "ModelInputs") -> float:
+    def throughput_bps(self, inputs: ModelInputs) -> float:
         """Eqn 3: tau = rho * C / t_total."""
-        if self.t_total == 0:
-            return float("inf")
-        return inputs.rho * inputs.chunk_bytes / self.t_total
+        return self.step(inputs).throughput_bps
 
-    def throughput_mbps(self, inputs: "ModelInputs") -> float:
+    def throughput_mbps(self, inputs: ModelInputs) -> float:
         """End-to-end throughput in MB/s."""
-        return self.throughput_bps(inputs) / 1e6
+        return self.step(inputs).throughput_mbps

@@ -98,37 +98,26 @@ class PlannerConfig:
     probe_bytes:
         Prefix bytes probed per candidate; 0 picks an automatic size
         from the chunk size (see :meth:`resolved_probe_bytes`).
-    network_mbps / disk_mbps / rho:
-        The deployment point of the cost model: the paper's theta
-        (network rate at the I/O node), mu_w (disk write rate), and
-        compute-to-I/O-node ratio.  ``inf`` disk means "network-bound".
-    calibration:
-        ``"static"`` (default) scores candidates with the committed
-        per-codec throughput table -- decisions depend only on probe
-        *sizes*, so archives are bit-reproducible across runs, worker
-        counts, and machines.  ``"measured"`` uses the probe's own stage
-        timings instead: better tuned to the current machine, but
-        decisions (and therefore archive bytes) are no longer
-        reproducible.
+    network_mbps:
+        The deployment point of the cost model: the paper's theta, the
+        network rate one compute node's output leaves at.  Candidates are
+        scored with the committed per-codec throughput tables, so
+        decisions depend only on probe *bytes* and archives are
+        bit-reproducible across runs, worker counts, and machines.
     """
 
     base: PrimacyConfig = field(default_factory=PrimacyConfig)
     candidates: tuple[Candidate, ...] = DEFAULT_CANDIDATES
     probe_bytes: int = 0
     network_mbps: float = 4.0
-    disk_mbps: float = float("inf")
-    rho: float = 8.0
-    calibration: str = "static"
 
     def __post_init__(self) -> None:
         if not self.candidates:
             raise ValueError("planner needs at least one candidate")
         if self.probe_bytes < 0:
             raise ValueError("probe_bytes must be >= 0")
-        if self.network_mbps <= 0 or self.disk_mbps <= 0 or self.rho <= 0:
-            raise ValueError("network_mbps, disk_mbps and rho must be positive")
-        if self.calibration not in ("static", "measured"):
-            raise ValueError("calibration must be 'static' or 'measured'")
+        if self.network_mbps <= 0:
+            raise ValueError("network_mbps must be positive")
         if self.base.index_policy is not IndexReusePolicy.PER_CHUNK:
             raise ValueError(
                 "the planner requires the PER_CHUNK index policy; planned "

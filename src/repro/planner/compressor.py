@@ -9,9 +9,8 @@
 sweep *and* the winning compression locally (no serialization of the
 probe), and planned records come back in order.
 
-With the default ``"static"`` calibration the output container is
-byte-identical across runs and worker counts -- decisions are a pure
-function of probe byte counts.
+The output container is byte-identical across runs and worker counts --
+decisions are a pure function of probe byte counts.
 """
 
 from __future__ import annotations

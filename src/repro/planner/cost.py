@@ -23,11 +23,12 @@ Two probe-scale distortions make the raw probe numbers unusable as-is
   In steady state the compute nodes overlap compression of chunk ``k``
   with the I/O node's transfer of chunk ``k-1``, so the sustained rate
   is bottleneck-bound, not sum-bound; scoring with the serial sum
-  double-charges slow codecs.  The planner therefore uses the pipelined
-  single-node specialization ``tau = C / max(t_compute, out/theta,
-  out/mu_w)`` with the same stage quantities the model defines.
+  double-charges slow codecs.  The planner therefore scores the model's
+  pipelined steady state (:attr:`repro.model.StepTimes.t_steady`) of one
+  node with no disk stage: ``tau = C / max(t_compute, out/theta)``.
 
-Compute-time calibration (``"static"`` mode, the default):
+Compute-time calibration, from committed tables only, so decisions
+depend on probe bytes alone:
 
 * ``pyzlib`` speed is strongly data-dependent (5x across the synthetic
   corpus), so a static rate cannot rank it against ``pylzo``.  Its time
@@ -38,10 +39,6 @@ Compute-time calibration (``"static"`` mode, the default):
 * Every other codec uses the committed stage rates
   (:data:`STATIC_CODEC_MBPS` over the codec's input bytes,
   :data:`STATIC_PRECONDITIONER_MBPS` over chunk bytes).
-
-``"measured"`` calibration swaps in the probe's wall-clock stage timings
-instead: better tuned to the current machine, but decisions (and
-therefore archive bytes) are no longer reproducible.
 
 All tables were measured on the development machine; absolute numbers
 age with the hardware, but only their *ratios* steer the planner, and
@@ -54,6 +51,7 @@ from dataclasses import dataclass
 
 from repro.compressors.lz77 import ParseStats
 from repro.core.primacy import PrimacyChunkStats
+from repro.model import StepTimes, tau
 from repro.planner.candidates import Candidate, PlannerConfig
 
 __all__ = [
@@ -129,14 +127,11 @@ class CandidateScore:
 def _compute_seconds(
     candidate: Candidate,
     stats: PrimacyChunkStats,
-    config: PlannerConfig,
     chunk_len: int,
     scale: float,
     parse: ParseStats | None,
 ) -> float:
     """Predicted full-chunk compress wall time for one candidate."""
-    if config.calibration == "measured":
-        return (stats.prec_seconds + stats.codec_seconds) * scale
     if candidate.codec == "pyzlib" and parse is not None and parse.input_bytes:
         w_coef, l_coef, m_coef, const = PYZLIB_PARSE_NS
         # Counters are normalized per probed *chunk* byte (matching the
@@ -191,16 +186,18 @@ def score_candidate(
     )
     ratio = chunk_len / out_proj
 
-    t_compute = _compute_seconds(
-        candidate, stats, config, chunk_len, scale, parse
+    step = StepTimes(
+        original_bytes=chunk_len,
+        payload_bytes=out_proj,
+        t_compute=_compute_seconds(candidate, stats, chunk_len, scale, parse),
+        t_transfer=out_proj / (config.network_mbps * 1e6),
+        t_disk=0.0,
     )
-    t_transfer = out_proj / (config.network_mbps * 1e6)
-    t_write = out_proj / (config.disk_mbps * 1e6)
-    tau = chunk_len / max(t_compute, t_transfer, t_write, 1e-12)
+    tau_bps = tau(chunk_len, step.t_steady)
     return CandidateScore(
         candidate=candidate,
-        score=ratio * tau,
+        score=ratio * tau_bps,
         ratio=ratio,
-        tau_mbps=tau / 1e6,
+        tau_mbps=tau_bps / 1e6,
         probe_out=record_len,
     )

@@ -117,5 +117,14 @@ class TestValidation:
     def test_payload_mismatch_rejected(self):
         codec = FpzipCodec()
         blob = bytearray(codec.compress(np.arange(64, dtype="<f8").tobytes()))
-        with pytest.raises((CodecError, ValueError)):
+        with pytest.raises(CodecError):
             codec.decompress(bytes(blob[: len(blob) - 16]))
+
+    def test_zero_dimension_rejected(self):
+        # Size header (512), ndim 1, shape (64,): a zero dimension used to
+        # divide by zero.
+        codec = FpzipCodec()
+        blob = codec.compress(np.arange(64, dtype="<f8").tobytes())
+        assert blob[:4] == b"\x80\x04\x01\x40"
+        with pytest.raises(CodecError):
+            codec.decompress(blob[:3] + b"\x00" + blob[4:])

@@ -100,7 +100,7 @@ class TestCodec:
             corrupted[int(rng.integers(0, len(corrupted)))] ^= 0xFF
             try:
                 codec.decompress(bytes(corrupted))
-            except (CodecError, ValueError):
+            except CodecError:
                 pass
 
 

@@ -1,4 +1,9 @@
-"""Tests for pipelined (double-buffered) staging writes."""
+"""Pipelined (double-buffered) staging writes: the step record's pipelined form.
+
+Each simulated step is a :class:`repro.model.StepTimes`; its
+``makespan(n)`` overlaps step k+1's compute with step k's transfer and
+disk stages.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,6 @@ from repro.iosim import (
     NullStrategy,
     StagingEnvironment,
     StagingSimulator,
-    simulate_write_pipelined,
 )
 
 _ENV = StagingEnvironment(
@@ -33,51 +37,50 @@ def dataset():
 
 class TestPipelinedWrite:
     def test_null_strategy_is_pure_io(self, dataset):
-        sim = StagingSimulator(_ENV)
-        run = simulate_write_pipelined(sim, dataset, NullStrategy(), 4)
-        assert run.bottleneck == "io"
-        assert run.compute_hidden
+        step = StagingSimulator(_ENV).simulate_write(dataset, NullStrategy())
+        assert step.bottleneck == "io"
+        assert step.t_steady == step.t_transfer + step.t_disk
 
     def test_makespan_formula(self, dataset):
-        sim = StagingSimulator(_ENV)
-        run = simulate_write_pipelined(
-            sim, dataset, CodecStrategy(get_codec("pylzo")), 3
+        step = StagingSimulator(_ENV).simulate_write(
+            dataset, CodecStrategy(get_codec("pylzo"))
         )
-        r = run.step_result
-        steady = max(r.t_compute, r.t_transfer + r.t_disk)
-        expected = r.t_compute + 2 * steady + (r.t_transfer + r.t_disk)
-        assert run.makespan == pytest.approx(expected)
+        steady = max(step.t_compute, step.t_transfer + step.t_disk)
+        expected = step.t_compute + 2 * steady + (step.t_transfer + step.t_disk)
+        assert step.makespan(3) == pytest.approx(expected)
 
     def test_pipelining_never_slower_than_bsp(self, dataset):
         sim = StagingSimulator(_ENV)
         strat = CodecStrategy(get_codec("pylzo"))
         n = 5
-        run = simulate_write_pipelined(sim, dataset, strat, n)
-        bsp_result = sim.simulate_write(dataset, strat)
-        bsp_makespan = n * bsp_result.t_total
-        assert run.makespan <= bsp_makespan * 1.05
+        bsp_makespan = n * sim.simulate_write(dataset, strat).t_total
+        piped = sim.simulate_write(dataset, strat)
+        assert piped.makespan(n) <= bsp_makespan * 1.05
+        assert piped.makespan(n) <= n * piped.t_total
 
     def test_compression_gain_amplified_by_overlap(self, dataset):
         """With compute hidden, the payload reduction is pure profit."""
         sim = StagingSimulator(_ENV)
         n = 8
-        null_run = simulate_write_pipelined(sim, dataset, NullStrategy(), n)
-        lzo_run = simulate_write_pipelined(
-            sim, dataset, CodecStrategy(get_codec("pylzo")), n
-        )
-        if lzo_run.compute_hidden:
+        null_step = sim.simulate_write(dataset, NullStrategy())
+        lzo_step = sim.simulate_write(dataset, CodecStrategy(get_codec("pylzo")))
+        if lzo_step.bottleneck == "io":
             # Speedup approaches 1/compressed_fraction at steady state.
-            speedup = lzo_run.throughput_bps / null_run.throughput_bps
-            inv_fraction = 1.0 / lzo_run.step_result.compressed_fraction
+            lzo_tau = lzo_step.pipelined_throughput_bps(n)
+            speedup = lzo_tau / null_step.pipelined_throughput_bps(n)
+            inv_fraction = 1.0 / lzo_step.compressed_fraction
             assert speedup == pytest.approx(inv_fraction, rel=0.2)
 
     def test_single_step_equals_bsp(self, dataset):
-        sim = StagingSimulator(_ENV)
-        strat = CodecStrategy(get_codec("pylzo"))
-        run = simulate_write_pipelined(sim, dataset, strat, 1)
-        assert run.makespan == pytest.approx(run.step_result.t_total)
+        step = StagingSimulator(_ENV).simulate_write(
+            dataset, CodecStrategy(get_codec("pylzo"))
+        )
+        assert step.makespan(1) == pytest.approx(step.t_total)
+        assert step.pipelined_throughput_bps(1) == pytest.approx(
+            step.throughput_bps
+        )
 
     def test_step_count_validation(self, dataset):
-        sim = StagingSimulator(_ENV)
+        step = StagingSimulator(_ENV).simulate_write(dataset, NullStrategy())
         with pytest.raises(ValueError):
-            simulate_write_pipelined(sim, dataset, NullStrategy(), 0)
+            step.makespan(0)

@@ -38,7 +38,7 @@ class TestCalibrateFromStats:
         compressor = PrimacyCompressor(PrimacyConfig(chunk_bytes=32 * 1024))
         out, stats = compressor.compress(obs_temp_small)
         inputs = calibrate_from_stats(stats, **_MACHINE)
-        predicted = predict_compressed_write(inputs).extras["out_fraction"]
+        predicted = predict_compressed_write(inputs).out_fraction
         actual = len(out) / len(obs_temp_small)
         assert predicted == pytest.approx(actual, rel=0.15)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.model import ModelInputs, ModelOutputs
+from repro.model import ModelInputs, ModelOutputs, StepTimes
 
 
 def _inputs(**overrides) -> ModelInputs:
@@ -70,7 +70,9 @@ class TestModelOutputs:
             t_transfer=5.0,
             t_write=6.0,
         )
-        assert out.t_total == 21.0
+        step = out.step(_inputs())
+        assert step.t_compute == 10.0  # Eqns 7-10 run on the compute nodes
+        assert step.t_total == 21.0
 
     def test_throughput_eqn3(self):
         inp = _inputs()
@@ -81,3 +83,29 @@ class TestModelOutputs:
 
     def test_zero_time_infinite_throughput(self):
         assert ModelOutputs().throughput_bps(_inputs()) == float("inf")
+
+    def test_step_carries_bytes(self):
+        inp = _inputs()
+        step = ModelOutputs(out_fraction=0.25).step(inp)
+        assert step.original_bytes == 8 * 3e6
+        assert step.payload_bytes == 2 * 3e6
+        assert step.compressed_fraction == 0.25
+        assert step.rho == 8.0
+
+
+class TestStepTimes:
+    def test_sum_and_pipelined_forms(self):
+        step = StepTimes(
+            original_bytes=12.0,
+            payload_bytes=6.0,
+            t_compute=3.0,
+            t_transfer=1.0,
+            t_disk=1.5,
+        )
+        assert step.t_total == 5.5  # Eqns 6/13
+        assert step.t_steady == 3.0  # compute hides the 2.5 s I/O stage
+        assert step.bottleneck == "compute"
+        # Fill one compute, three steady steps, drain one I/O stage.
+        assert step.makespan(4) == 3.0 + 3 * 3.0 + 2.5
+        assert step.throughput_bps == 12.0 / 5.5
+        assert step.pipelined_throughput_bps(4) == 48.0 / 14.5

@@ -44,14 +44,14 @@ class TestBaseCase:
     def test_eqn6_total_and_eqn3_throughput(self):
         inp = _inputs()
         out = predict_base_write(inp)
-        assert out.t_total == pytest.approx(1.5)
+        assert out.step(inp).t_total == pytest.approx(1.5)
         assert out.throughput_mbps(inp) == pytest.approx(16.0)
 
     def test_base_read_mirrors_write(self):
         inp = _inputs(disk_read_bps=40e6)
         w = predict_base_write(inp)
         r = predict_base_read(inp)
-        assert r.t_total == pytest.approx(w.t_total)
+        assert r.step(inp).t_total == pytest.approx(w.step(inp).t_total)
 
 
 class TestCompressedWrite:
@@ -67,18 +67,62 @@ class TestCompressedWrite:
     def test_eqn11_transfer_scales_with_compressed_fraction(self):
         inp = _inputs()
         out = predict_compressed_write(inp)
-        frac = out.extras["out_fraction"]
+        frac = out.out_fraction
         expected = 0.25 * 0.1 + 0.4 * 0.75 * 0.7 + 0.6 * 0.75
         assert frac == pytest.approx(expected)
         assert out.t_transfer == pytest.approx(9 * 3e6 * frac / 30e6)
+        assert out.t_write == pytest.approx(8 * 3e6 * frac / 40e6)  # Eqn 12
 
-    def test_faithful_eq11_applies_sigma_to_raw(self):
-        inp = _inputs()
-        corrected = predict_compressed_write(inp, faithful_eq11=False)
-        faithful = predict_compressed_write(inp, faithful_eq11=True)
-        # Printed equation multiplies the raw remainder by sigma_lo < 1, so
-        # it predicts smaller transfers.
-        assert faithful.t_transfer < corrected.t_transfer
+    @pytest.mark.parametrize(
+        "alpha2, sigma_lo, gap",
+        [
+            (0.3, 0.8, 0.161),
+            (0.3, 0.95, 0.034),
+            (0.3, 0.98, 0.013),
+            (0.0, 0.8, 0.233),
+            (0.0, 0.95, 0.050),
+            (0.0, 0.98, 0.019),
+        ],
+    )
+    def test_printed_eqn11_overstates_tau(self, alpha2, sigma_lo, gap):
+        """As printed, Eqns 11/12 shrink the raw remainder by sigma_lo too.
+
+        The oracle evaluates the printed equations inline at
+        bench_model.py's point; the model charges stored-raw bytes at full
+        size, so the printed form predicts ``gap`` more throughput.
+        """
+        c, rho, theta, mu = 3e6, 8.0, 34e6, 34e6
+        t_prec, t_comp, a1, sigma_ho, delta = 400e6, 60e6, 0.25, 0.1, 4e3
+        inp = ModelInputs(
+            chunk_bytes=c,
+            rho=rho,
+            network_bps=theta,
+            disk_write_bps=mu,
+            preconditioner_bps=t_prec,
+            compressor_bps=t_comp,
+            alpha1=a1,
+            alpha2=alpha2,
+            sigma_ho=sigma_ho,
+            sigma_lo=sigma_lo,
+            metadata_bytes=delta,
+        )
+        printed_fraction = (
+            a1 * sigma_ho
+            + alpha2 * (1 - a1) * sigma_lo
+            + (1 - alpha2) * (1 - a1) * sigma_lo
+            + delta / c
+        )
+        printed_t_total = (
+            c / t_prec  # Eqn 7
+            + (1 - a1) * c / t_prec  # Eqn 8
+            + a1 * c / t_comp  # Eqn 9
+            + alpha2 * (1 - a1) * c / t_comp  # Eqn 10
+            + (1 + rho) * c * printed_fraction / theta  # Eqn 11 as printed
+            + rho * c * printed_fraction / mu  # Eqn 12 as printed
+        )
+        printed_tau = rho * c / printed_t_total  # Eqn 3
+        model_tau = predict_compressed_write(inp).throughput_bps(inp)
+        assert printed_tau / model_tau - 1 == pytest.approx(gap, abs=5e-4)
 
     def test_metadata_charged(self):
         light = predict_compressed_write(_inputs())
@@ -109,7 +153,7 @@ class TestCompressedRead:
         inp = _inputs(disk_read_bps=400e6, decompressor_bps=80e6,
                       repreconditioner_bps=500e6)
         out = predict_compressed_read(inp)
-        frac = out.extras["out_fraction"]
+        frac = out.out_fraction
         assert out.t_write == pytest.approx(8 * 3e6 * frac / 400e6)
         assert out.t_compress1 == pytest.approx(0.25 * 3e6 / 80e6)
 

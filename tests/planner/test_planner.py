@@ -26,10 +26,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PlannerConfig(base=base)
 
-    def test_rejects_unknown_calibration(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(calibration="wishful")
-
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
             PlannerConfig(network_mbps=0.0)
@@ -188,11 +184,11 @@ class TestCostModel:
         hard = ParseStats(
             work=4000, literal_bytes=1800, match_bytes=200, input_bytes=2048
         )
-        t_easy = _compute_seconds(cand, stats, cfg, 1 << 16, scale, easy)
-        t_hard = _compute_seconds(cand, stats, cfg, 1 << 16, scale, hard)
+        t_easy = _compute_seconds(cand, stats, 1 << 16, scale, easy)
+        t_hard = _compute_seconds(cand, stats, 1 << 16, scale, hard)
         assert t_hard > t_easy
         # And with no parse counters the static-table fallback engages.
-        t_static = _compute_seconds(cand, stats, cfg, 1 << 16, scale, None)
+        t_static = _compute_seconds(cand, stats, 1 << 16, scale, None)
         assert t_static > 0.0
 
     def test_scores_are_pure_functions_of_bytes(self, mixed_bytes):
