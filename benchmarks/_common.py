@@ -13,6 +13,7 @@ throughput numbers at the cost of runtime; the *shapes* are stable from
 from __future__ import annotations
 
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -31,6 +32,38 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", 2012))
 # per-chunk index overhead representative of the paper's 3 MB chunks
 # relative to our smaller bench payloads.
 BENCH_CHUNK_BYTES = max(BENCH_VALUES * 8, 64 * 1024)
+
+
+def machine_info() -> dict:
+    """The runner a bench result was measured on, for its JSON document.
+
+    ``nproc`` is the number of CPUs this process may run on (its
+    affinity mask), which can be fewer than ``cpu_count``.
+    """
+    cpu_count = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "cpu_count": cpu_count,
+        "nproc": len(affinity(0)) if affinity is not None else cpu_count,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def fan_out_label(fan_out: int, what: str) -> str:
+    """Name an ``N over 1`` throughput ratio for what this runner can show.
+
+    With fewer usable CPUs than ``fan_out`` writers or clients, the ratio
+    cannot show a scale-up, only that fan-out does not collapse
+    throughput.  The gated metric keeps its name and floor either way.
+    """
+    cpus = machine_info()["nproc"]
+    if cpus < fan_out:
+        return (
+            f"fan-out collapse check ({cpus} CPU(s) for {fan_out} {what}, "
+            "not a scale-up)"
+        )
+    return "scale-up"
 
 
 def dataset_bytes(name: str, n_values: int | None = None) -> bytes:

@@ -35,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from _common import BENCH_SEED, Table, mbps
+from _common import BENCH_SEED, Table, fan_out_label, machine_info, mbps
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyConfig
 from repro.datasets import generate_bytes
@@ -192,6 +192,7 @@ def run_bench(
     four = pack.get("shards_4", pack[f"shards_{shard_levels[-1]}"])
     return {
         "schema": 1,
+        "machine": machine_info(),
         "params": {
             "n_values": n_values,
             "chunk_bytes": chunk_bytes,
@@ -284,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     summary = document["summary"]
     point = document["point_read"]
     table.note(
-        f"4w/1w pack scale-up {summary['pack_scaleup_4_over_1']:.3f}; "
+        f"4w/1w pack {fan_out_label(4, 'writers')} "
+        f"{summary['pack_scaleup_4_over_1']:.3f}; "
         f"cold point read {point['sharded_ms_per_read']:.2f} ms sharded "
         f"vs {point['monolithic_ms_per_read']:.2f} ms monolithic"
     )

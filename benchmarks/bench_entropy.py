@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, mbps
+from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, machine_info, mbps
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.compressors import bwt as batch
 from repro.compressors.bwt import bwt_transform
@@ -221,6 +221,7 @@ def run_bench(
     }
     return {
         "schema": SCHEMA_VERSION,
+        "machine": machine_info(),
         "config": {
             "n_values": n_values,
             "seed": seed,

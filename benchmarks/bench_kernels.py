@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, mbps
+from _common import BENCH_SEED, BENCH_VALUES, Table, geometric_mean, machine_info, mbps
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.idmap import IdMapper
 from repro.core.kernels import (
@@ -149,6 +149,7 @@ def run_bench(
     speedups = [r["precondition_idmap_speedup"] for r in results.values()]
     return {
         "schema": SCHEMA_VERSION,
+        "machine": machine_info(),
         "config": {
             "n_values": n_values,
             "seed": seed,

@@ -46,7 +46,7 @@ import sys
 import time
 from pathlib import Path
 
-from _common import BENCH_SEED, Table, geometric_mean
+from _common import BENCH_SEED, Table, geometric_mean, machine_info
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import dataset_names, generate_bytes
@@ -186,6 +186,7 @@ def run_bench(
 
     return {
         "schema": SCHEMA_VERSION,
+        "machine": machine_info(),
         "config": {
             "n_values": n_values,
             "seed": seed,

@@ -34,7 +34,7 @@ import threading
 import time
 from pathlib import Path
 
-from _common import BENCH_SEED, Table, mbps
+from _common import BENCH_SEED, Table, fan_out_label, machine_info, mbps
 from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyConfig
 from repro.datasets import generate_bytes
@@ -168,6 +168,7 @@ def run_bench(
     last = results[f"clients_{client_levels[-1]}"]
     return {
         "schema": 1,
+        "machine": machine_info(),
         "params": {
             "n_values": n_values,
             "chunk_bytes": chunk_bytes,
@@ -242,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     table.note(
         f"one-shot engine {document['oneshot']['mbps']:.1f} MB/s on the "
         f"same stream; serve/one-shot {summary['serve_over_oneshot']:.3f}; "
-        f"scale-up {client_levels[-1]}c/{client_levels[0]}c "
+        f"{fan_out_label(client_levels[-1], 'clients')} "
+        f"{client_levels[-1]}c/{client_levels[0]}c "
         f"{summary['scaleup_16_over_1']:.3f}"
     )
     table.emit("BENCH_serve.txt")

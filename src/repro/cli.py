@@ -10,7 +10,7 @@ Subcommands::
     primacy model ...                # evaluate the performance model
     primacy fsck FILE                # verify a PRIF/PRCK file, localize damage
     primacy salvage IN OUT           # recover readable chunks from a damaged file
-    primacy lint [PATHS...]          # AST codec-invariant checker (PL001..PL005)
+    primacy lint [PATHS...]          # codec-invariant checker (seven rules, --list-rules)
     primacy stats [IN]               # run a workload with observability on, report
     primacy stats --remote H:P       # render a running daemon's counters
     primacy bench                    # CR/CTP/DTP over the dataset registry, gate vs baseline
@@ -255,22 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the codec-invariant checker over source trees "
-        "(PL001..PL005; --deep adds the PL101..PL103 dataflow rules)",
+        help="run the codec-invariant checker over source trees: every "
+        "AST and CFG/dataflow rule (see --list-rules)",
     )
     p.add_argument(
         "paths", type=Path, nargs="*", default=[Path("src")],
         help="files or directories to lint (default: src)",
-    )
-    p.add_argument(
-        "--deep", action="store_true",
-        help="also run the CFG/dataflow rules (PL101..PL103): lifecycle "
-        "proofs, fork-safety, encode/decode symmetry",
-    )
-    p.add_argument(
-        "--cache", type=Path, default=None, metavar="FILE",
-        help="with --deep: incremental result cache keyed by file "
-        "content hashes and rule analysis versions",
     )
     p.add_argument(
         "--explain", metavar="RULE", default=None,
@@ -852,9 +842,9 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
 
 
 def _explain_rule(code: str) -> int:
-    from repro.lint import all_rules, deep_rules
+    from repro.lint import all_rules
 
-    catalog = {r.code: r for r in all_rules() + deep_rules()}
+    catalog = {r.code: r for r in all_rules()}
     rule = catalog.get(code)
     if rule is None:
         known = ", ".join(sorted(catalog))
@@ -872,8 +862,7 @@ def _explain_rule(code: str) -> int:
         return "built-in example", fallback
 
     print(f"{rule.code}: {rule.title}")
-    tier = "deep (--deep)" if rule.code >= "PL100" else "shallow"
-    print(f"tier: {tier}, analysis version {rule.analysis_version}")
+    print(f"analysis version {rule.analysis_version}")
     print()
     print(rule.rationale)
     for kind, fallback, label in (
@@ -891,13 +880,9 @@ def _explain_rule(code: str) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
-        CacheStats,
-        LintCache,
         LintError,
         Severity,
         all_rules,
-        deep_lint,
-        deep_rules,
         format_findings_json,
         format_findings_text,
         lint_paths,
@@ -909,8 +894,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return _explain_rule(args.explain.strip().upper())
 
     if args.list_rules:
-        rules = all_rules() + (deep_rules() if args.deep else [])
-        for rule in rules:
+        for rule in all_rules():
             print(f"{rule.code}  {rule.title}")
             print(f"       {rule.rationale}")
         return EXIT_OK
@@ -924,26 +908,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         baseline = (
             load_baseline(args.baseline) if args.baseline is not None else None
         )
-        if args.deep:
-            stats = CacheStats()
-            findings = deep_lint(
-                args.paths,
-                all_rules() + deep_rules(),
-                baseline=baseline,
-                cache=LintCache(args.cache),
-                select=_codes(args.select),
-                ignore=_codes(args.ignore),
-                stats=stats,
-            )
-            if args.cache is not None:
-                print(stats.summary(), file=sys.stderr)
-        else:
-            findings = lint_paths(
-                args.paths,
-                select=_codes(args.select),
-                ignore=_codes(args.ignore),
-                baseline=baseline,
-            )
+        findings = lint_paths(
+            args.paths,
+            select=_codes(args.select),
+            ignore=_codes(args.ignore),
+            baseline=baseline,
+        )
     except LintError as exc:
         print(f"lint error: {exc}", file=sys.stderr)
         return EXIT_USAGE

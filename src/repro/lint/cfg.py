@@ -1,4 +1,4 @@
-"""Per-function control-flow graphs for the deep lint rules.
+"""Per-function control-flow graphs for the PL1xx lint rules.
 
 :func:`build_cfg` lowers one function body into a graph of
 :class:`CFGNode`\\ s, one node per simple statement plus a handful of
@@ -18,8 +18,10 @@ edge to the innermost exception target wherever they appear.  Outside
 graph models the exception control flow the programmer declared, plus
 the two statement kinds whose entire purpose is raising.  Pass
 ``implicit_raises="calls"`` to additionally treat every statement
-containing a call as a potential raise site (strict mode; noisy on
-real code but useful in tests and audits).
+that calls or subscripts as a potential raise site; PL101 builds its
+graphs that way, so a release that a raising call can skip is a leak.
+A compound statement raises only from its header (the ``if`` test,
+not the suite), which :func:`header_exprs` names.
 
 **``finally`` duplication.**  A ``finally`` suite runs on the normal
 path, the exceptional path, and on every ``return`` / ``break`` /
@@ -48,6 +50,7 @@ __all__ = [
     "CFGNode",
     "CFG",
     "build_cfg",
+    "header_exprs",
 ]
 
 EDGE_NORMAL = "normal"
@@ -220,12 +223,13 @@ class _Builder:
     # -- helpers --------------------------------------------------------
 
     def _may_raise_implicitly(self, stmt: ast.stmt) -> bool:
-        if self.implicit_raises == "none":
-            return self._try_depth > 0
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Call, ast.Subscript)):
-                return True
-        return self._try_depth > 0
+        if self._try_depth > 0:
+            return True
+        return self.implicit_raises == "calls" and any(
+            isinstance(node, (ast.Call, ast.Subscript))
+            for part in header_exprs(stmt)
+            for node in ast.walk(part)
+        )
 
     def _link(self, prev: CFGNode | None, node: CFGNode) -> None:
         if prev is not None:
@@ -521,6 +525,33 @@ def _is_catch_all(expr: ast.expr) -> bool:
     return False
 
 
+def header_exprs(stmt: ast.AST) -> list[ast.AST]:
+    """What ``stmt``'s own node evaluates; its suites have their own nodes.
+
+    A simple statement evaluates all of itself.  A compound one
+    evaluates only its header: an ``if``/``while`` test, a loop's
+    iterable, a ``match`` subject, ``with`` context expressions, a
+    ``def``/``class``'s decorators; a ``try`` or handler nothing.
+    """
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    if isinstance(stmt, ast.Match):
+        return [stmt.subject]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if isinstance(
+        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    ):
+        return list(stmt.decorator_list)
+    if isinstance(
+        stmt, (ast.Try, getattr(ast, "TryStar", ast.Try), ast.ExceptHandler)
+    ):
+        return []
+    return [stmt]
+
+
 def build_cfg(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
     *,
@@ -530,7 +561,7 @@ def build_cfg(
 
     ``implicit_raises`` selects how liberally exception edges are added
     outside declared ``try`` blocks: ``"none"`` (default) adds them only
-    for ``raise`` / ``assert``, ``"calls"`` also for any statement
-    containing a call or subscript.
+    for ``raise`` / ``assert``, ``"calls"`` also for any node whose
+    :func:`header_exprs` contain a call or subscript.
     """
     return _Builder(func, implicit_raises).build()

@@ -54,8 +54,6 @@ __all__ = [
     "Rule",
     "lint_paths",
     "load_module",
-    "check_modules",
-    "apply_baseline",
     "load_baseline",
     "write_baseline",
     "format_findings_text",
@@ -114,19 +112,6 @@ class Finding:
             "analysis_version": self.analysis_version,
             "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the incremental cache)."""
-        return cls(
-            rule=payload["rule"],
-            message=payload["message"],
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            severity=Severity(payload.get("severity", "error")),
-            analysis_version=payload.get("analysis_version", 1),
-        )
 
     def demoted(self) -> "Finding":
         """Copy of this finding at warning severity (baseline demotion)."""
@@ -261,10 +246,9 @@ class Rule:
     runs once per lint invocation over the whole
     :class:`~repro.lint.project.ProjectIndex`.
 
-    :attr:`analysis_version` feeds finding fingerprints and the deep
-    cache: bump it whenever the rule's logic tightens, so stale
-    baseline entries and cached results for *this rule only* are
-    invalidated.
+    :attr:`analysis_version` feeds finding fingerprints: bump it
+    whenever the rule's logic tightens, so stale baseline entries for
+    *this rule only* are invalidated.
     """
 
     code: str = "PL000"
@@ -384,78 +368,56 @@ def load_module(
         )
 
 
-def check_modules(
-    modules: list[ModuleContext], rules: Iterable[Rule]
-) -> list[Finding]:
-    """Run per-module rules, then project rules, with suppressions applied."""
-    per_module = [r for r in rules if not r.requires_project]
-    project_rules = [r for r in rules if r.requires_project]
-    findings: list[Finding] = []
-    by_relpath = {m.relpath: m for m in modules}
-    for module in modules:
-        for rule in per_module:
-            for finding in rule.check(module):
-                if not module.suppressed(finding.line, finding.rule):
-                    findings.append(finding)
-    if project_rules:
-        from repro.lint.project import ProjectIndex
-
-        index = ProjectIndex(modules)
-        for rule in project_rules:
-            for finding in rule.check_project(index):
-                module = by_relpath.get(finding.path)
-                if module is not None and module.suppressed(
-                    finding.line, finding.rule
-                ):
-                    continue
-                findings.append(finding)
-    return findings
-
-
-def apply_baseline(
-    findings: list[Finding], baseline: set[str] | None
-) -> list[Finding]:
-    """Demote baseline-matched findings and sort by location."""
-    result = [
-        f.demoted() if baseline and f.fingerprint in baseline else f
-        for f in findings
-    ]
-    result.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return result
-
-
 def lint_paths(
     paths: Iterable[Path | str],
-    rules: Iterable[Rule] | None = None,
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     project_root: Path | None = None,
     baseline: set[str] | None = None,
 ) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` and return the findings.
+    """Lint every ``.py`` file under ``paths`` with every rule.
 
-    Suppressed findings are dropped; baseline-matched findings are
-    demoted to warnings.  Findings come back sorted by location.
-    Cross-module rules (``requires_project``) run once over a
+    ``select``/``ignore`` narrow the rule set.  Suppressed findings are
+    dropped; baseline-matched findings are demoted to warnings.
+    Findings come back sorted by location.  Cross-module rules
+    (``requires_project``) run once over a
     :class:`~repro.lint.project.ProjectIndex` of all linted files.
     """
     from repro.lint.rules import all_rules
 
     root = (project_root or Path.cwd()).resolve()
-    active = select_rules(
-        rules if rules is not None else all_rules(), select, ignore
-    )
+    active = select_rules(all_rules(), select, ignore)
     findings: list[Finding] = []
-    modules: list[ModuleContext] = []
+    modules: dict[str, ModuleContext] = {}
     for file_path in iter_python_files([Path(p) for p in paths]):
         loaded = load_module(file_path, root)
         if isinstance(loaded, Finding):
             findings.append(loaded)
         else:
-            modules.append(loaded)
-    findings.extend(check_modules(modules, active))
-    return apply_baseline(findings, baseline)
+            modules[loaded.relpath] = loaded
+    raw: list[Finding] = []
+    for rule in active:
+        if not rule.requires_project:
+            for module in modules.values():
+                raw.extend(rule.check(module))
+    project_rules = [r for r in active if r.requires_project]
+    if project_rules:
+        from repro.lint.project import ProjectIndex
+
+        index = ProjectIndex(list(modules.values()))
+        for rule in project_rules:
+            raw.extend(rule.check_project(index))
+    for finding in raw:
+        module = modules.get(finding.path)
+        if module is None or not module.suppressed(finding.line, finding.rule):
+            findings.append(finding)
+    result = [
+        f.demoted() if baseline and f.fingerprint in baseline else f
+        for f in findings
+    ]
+    result.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return result
 
 
 # -- baselines ----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Project-wide symbol index and call graph for cross-module rules.
 
-The per-module rules (PL001..PL005) see one file at a time; the deep
-rules (PL101..PL103) need to pair an encoder in ``core/`` with its
-decoder in ``planner/``, or walk from a fork entry point into
-everything it calls.  :class:`ProjectIndex` parses every file once and
+The AST rules (PL001..PL005) see one file at a time; the CFG rules
+(PL101..PL103) need to pair an encoder in ``core/`` with its decoder
+in ``planner/``, or walk from a fork entry point into everything it
+calls.  :class:`ProjectIndex` parses every file once and
 exposes:
 
 * ``functions`` -- every function/method, keyed by qualified name

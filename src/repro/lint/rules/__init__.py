@@ -1,17 +1,15 @@
 """The ``primacy lint`` rule catalog.
 
-Two tiers share one framework:
+Every rule runs on every invocation through one framework:
 
-* **shallow** rules (PL001..PL005) -- single-pass AST walkers, cheap
-  enough to run on every invocation;
-* **deep** rules (PL101..PL103) -- CFG/dataflow proofs and
-  cross-module analyses behind ``primacy lint --deep``, built on
-  :mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`, and
+* single-pass AST walkers (PL001, PL002, PL004, PL005);
+* CFG/dataflow proofs and cross-module analyses (PL101..PL103), built
+  on :mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`, and
   :mod:`repro.lint.project`.
 
 Each rule lives in its own module and registers itself here; the CLI
-and the engine pull the sets through :func:`all_rules` /
-:func:`deep_rules` so tests can also instantiate rules individually.
+and the engine pull the set through :func:`all_rules` so tests can
+also instantiate rules individually.
 """
 
 from repro.lint.engine import Rule
@@ -20,16 +18,13 @@ from repro.lint.rules.exceptions import ExceptionDisciplineRule
 from repro.lint.rules.forksafety import ForkSafetyRule
 from repro.lint.rules.lifecycle import ResourceLifecycleRule
 from repro.lint.rules.registry import CodecRegistryRule
-from repro.lint.rules.sharedmem import SharedMemoryLifecycleRule
 from repro.lint.rules.structfmt import StructFormatRule
 from repro.lint.rules.symmetry import EncodeDecodeSymmetryRule
 
 __all__ = [
     "all_rules",
-    "deep_rules",
     "ExceptionDisciplineRule",
     "StructFormatRule",
-    "SharedMemoryLifecycleRule",
     "BufferBoundsRule",
     "CodecRegistryRule",
     "ResourceLifecycleRule",
@@ -39,19 +34,12 @@ __all__ = [
 
 
 def all_rules() -> list[Rule]:
-    """Fresh instances of every shallow rule, in code order."""
+    """Fresh instances of every rule, in code order."""
     return [
         ExceptionDisciplineRule(),
         StructFormatRule(),
-        SharedMemoryLifecycleRule(),
         BufferBoundsRule(),
         CodecRegistryRule(),
-    ]
-
-
-def deep_rules() -> list[Rule]:
-    """Fresh instances of the deep (CFG/cross-module) rules."""
-    return [
         ResourceLifecycleRule(),
         ForkSafetyRule(),
         EncodeDecodeSymmetryRule(),

@@ -1,12 +1,12 @@
-"""PL101 -- path-sensitive resource lifecycle (CFG-proved).
+"""PL101 -- resource lifecycle, proved on the control-flow graph.
 
-PL003 checks the *shape* of a lifecycle: release-in-``finally`` or a
-visible ownership transfer, anywhere in the frame.  PL101 checks the
-*paths*: it builds the function's control-flow graph (exception edges
-included) and proves that from every tracked acquisition, **every**
-path to either frame exit -- the normal one and the raise one --
-passes a release or an ownership transfer first.  The canonical bug it
-catches and PL003 cannot::
+A ``SharedMemory`` segment without ``close()``/``unlink()`` outlives
+the process in ``/dev/shm``, an unreleased ``memoryview`` pins its
+segment mapped, and an unclosed file holds a descriptor.  So every
+tracked acquisition in a frame must be released, or its ownership
+transferred, on **every** path to either frame exit -- the normal one
+and the raise one.  The rule builds the function's control-flow graph
+(exception edges included) and proves it.  The canonical bug::
 
     view = memoryview(data)
     try:
@@ -16,6 +16,19 @@ catches and PL003 cannot::
     view.release()
     return n
 
+**Exception model.**  Besides the edges the programmer declared
+(``raise``, ``assert``, every statement of a ``try`` body), any
+statement that calls or subscripts may raise: the graph is built with
+``implicit_raises="calls"``.  A release that such a statement can skip
+belongs in a ``finally`` or a ``with``::
+
+    shm = SharedMemory(create=True, size=n)
+    shm.buf[:n] = payload    # PL101: a raise here skips the close()
+    shm.close()
+
+Names, attribute reads and branch tests on them are not raise sites,
+so a release on every branch of an ``if`` needs no ``finally``.
+
 The proof is a backward *must* analysis over the CFG: a resource is
 *satisfied* at a node if **all** paths from that node to an exit pass
 a satisfying event; the acquisition is clean iff its name is satisfied
@@ -24,22 +37,18 @@ at every successor.  Satisfying events:
 * release calls: ``x.close()``, ``x.unlink()``, ``x.release()``;
 * ``with x:`` / ``with acquire() as x:`` cleanup (the CFG's synthetic
   ``with-cleanup`` nodes);
-* ownership transfers, exactly PL003's notion: ``return x`` /
-  ``yield x`` (including tuples and method-call results on ``x``),
-  assignment to an attribute or subscript target, or passing ``x`` to
-  a registry-style call (``append``, ``register``, ``track_segment``,
-  ...);
+* ownership transfers: ``return x`` / ``yield x`` (including tuples
+  and method-call results on ``x``), assignment to an attribute or
+  subscript target, or passing ``x`` to a registry-style call
+  (``append``, ``register``, ``track_segment``, ...).  Copies do not
+  count: ``return bytes(shm.buf[:16])`` still leaks the attachment;
 * rebinding ``x`` *kills* satisfaction backward past the rebind: a
   release after ``x = memoryview(b)`` does not excuse the ``x`` bound
   before it.
 
 Tracked acquisitions: ``SharedMemory(...)``, ``memoryview(...)``,
-``*.buf``, and ``open(...)``.  The CFG adds exception edges for
-``raise`` / ``assert`` everywhere and for every statement inside a
-``try`` body; plain statements outside a ``try`` are not assumed to
-raise (see :mod:`repro.lint.cfg`).  The proof is therefore exact for
-the control flow the programmer declared, which is what makes it
-usable as an error-severity gate.
+``*.buf``, and ``open(...)``.  The opt-in runtime sanitizer
+(:mod:`repro.lint.sanitize`) is the dynamic counterpart of this rule.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.cfg import CFG, CFGNode, EDGE_NORMAL, build_cfg
+from repro.lint.cfg import CFG, CFGNode, EDGE_NORMAL, build_cfg, header_exprs
 from repro.lint.dataflow import BACKWARD, DataflowProblem, solve
 from repro.lint.engine import Finding, ModuleContext, Rule
 
@@ -55,7 +64,7 @@ __all__ = ["ResourceLifecycleRule"]
 
 _RELEASE_METHODS = {"close", "unlink", "release"}
 
-#: Call names whose first argument takes ownership (PL003's set).
+#: Call names whose arguments take ownership.
 _TRANSFER_CALLS = {
     "append",
     "add",
@@ -95,10 +104,10 @@ def acquisition_kind(value: ast.expr) -> str | None:
     return None
 
 
-def _stmt_releases(stmt: ast.stmt) -> set[str]:
+def _releases(part: ast.AST) -> set[str]:
     """Names released by ``x.close()`` / ``os.close(x)`` style calls."""
     released: set[str] = set()
-    for node in ast.walk(stmt):
+    for node in ast.walk(part):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -125,10 +134,10 @@ def _stmt_releases(stmt: ast.stmt) -> set[str]:
     return released
 
 
-def _stmt_transfers(stmt: ast.stmt) -> set[str]:
-    """Names whose ownership visibly leaves the frame at this statement."""
+def _transfers(part: ast.AST) -> set[str]:
+    """Names whose ownership visibly leaves the frame in ``part``."""
     transferred: set[str] = set()
-    for node in ast.walk(stmt):
+    for node in ast.walk(part):
         if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
             value = node.value
             candidates = (
@@ -211,55 +220,19 @@ def _with_item_names(stmt: ast.stmt | None) -> set[str]:
     return names
 
 
-#: Compound-statement node labels whose ``stmt`` holds nested suites.
-#: Their events must come from the *header* expression only -- the
-#: suites' statements have their own CFG nodes.
-_HEADER_ONLY_LABELS = {
-    "if",
-    "loop-head",
-    "match",
-    "with-enter",
-    "finally",
-    "except-dispatch",
-    "except",
-}
-
-
 def _node_events(node: CFGNode) -> tuple[set[str], set[str], set[str]]:
     """``(releases, transfers, rebinds)`` happening *at* this node."""
     stmt = node.stmt
     if stmt is None:
         return set(), set(), set()
     if node.label == "with-cleanup":
-        return set(_with_item_names(stmt)), set(), set()
-    if node.label in _HEADER_ONLY_LABELS:
-        headers: list[ast.expr] = []
-        rebinds: set[str] = set()
-        if isinstance(stmt, ast.If) or isinstance(stmt, ast.While):
-            headers = [stmt.test]
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            headers = [stmt.iter]
-            if isinstance(stmt.target, ast.Name):
-                rebinds.add(stmt.target.id)
-        elif isinstance(stmt, ast.Match):
-            headers = [stmt.subject]
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            headers = [item.context_expr for item in stmt.items]
-        # finally / except markers: no events of their own.
-        releases: set[str] = set()
-        transfers: set[str] = set()
-        for expr in headers:
-            fake = ast.Expr(value=expr)
-            ast.copy_location(fake, expr)
-            releases |= _stmt_releases(fake)
-            transfers |= _stmt_transfers(fake)
-        return releases, transfers, rebinds
-    if isinstance(
-        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    ):
-        # A release inside a nested function is not a release here.
-        return set(), set(), set()
-    return _stmt_releases(stmt), _stmt_transfers(stmt), _stmt_rebinds(stmt)
+        return _with_item_names(stmt), set(), set()
+    releases: set[str] = set()
+    transfers: set[str] = set()
+    for part in header_exprs(stmt):
+        releases |= _releases(part)
+        transfers |= _transfers(part)
+    return releases, transfers, _stmt_rebinds(stmt)
 
 
 class _SatisfiedOnAllPaths(DataflowProblem):
@@ -330,12 +303,14 @@ class ResourceLifecycleRule(Rule):
     title = "path-sensitive resource lifecycle"
     rationale = (
         "A release that some path skips -- an early return, an except "
-        "clause, a raise between acquire and close -- leaks segments "
-        "and pins views exactly when errors already made things bad; "
-        "the CFG proof covers every declared path, exception edges "
-        "included."
+        "clause, a call that raises between acquire and close -- leaks "
+        "segments to /dev/shm and pins views exactly when errors "
+        "already made things bad; the CFG proof covers every path, "
+        "exception edges included."
     )
-    analysis_version = 1
+    #: v2: any call or subscript between acquisition and release may
+    #: raise, not only the raises the code declares.
+    analysis_version = 2
     example_bad = (
         "def decode(data):\n"
         "    view = memoryview(data)\n"
@@ -367,7 +342,7 @@ class ResourceLifecycleRule(Rule):
         func: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> Iterable[Finding]:
         acquisitions: list[tuple[CFGNode, str, str]] = []
-        cfg = build_cfg(func)
+        cfg = build_cfg(func, implicit_raises="calls")
         reachable = cfg.reachable()
         for node in cfg.nodes:
             stmt = node.stmt

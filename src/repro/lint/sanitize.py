@@ -1,6 +1,6 @@
 """Opt-in runtime sanitizer for shared-memory lifecycle (``REPRO_SANITIZE=1``).
 
-The static rule (PL003) proves the *code* releases what it acquires;
+The static rule (PL101) proves the *code* releases what it acquires;
 this module proves the *process* did.  When ``REPRO_SANITIZE`` is set
 to anything but ``0``/empty, the parallel engine routes every
 ``SharedMemory`` acquisition and every buffer view through the global

@@ -26,15 +26,15 @@ def as_view(data: bytes | bytearray | memoryview | np.ndarray) -> memoryview:
     ``np.ascontiguousarray`` (the minimal possible copy).
     """
     if isinstance(data, memoryview):
-        view = data
-    elif isinstance(data, (bytes, bytearray)):
-        view = memoryview(data)
-    elif isinstance(data, np.ndarray):
-        view = memoryview(np.ascontiguousarray(data))
-    else:
+        if data.ndim != 1 or data.format != "B":
+            data = data.cast("B")
+        return data.toreadonly()
+    if isinstance(data, np.ndarray):
+        # A byte view of the flattened array: unlike memoryview.cast,
+        # it also takes zero-size multi-dimensional arrays.
+        data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+    elif not isinstance(data, (bytes, bytearray)):
         raise TypeError(
             f"cannot view {type(data).__name__} as a byte buffer"
         )
-    if view.ndim != 1 or view.format != "B":
-        view = view.cast("B")
-    return view.toreadonly()
+    return memoryview(data).toreadonly()

@@ -34,7 +34,7 @@ def leak_on_raise_between(data):
 def leak_on_rebind(first, second):
     view = memoryview(first)
     view = memoryview(second)  # leak: first view dropped unreleased
-    result = bytes(view[:4])
+    result = bytes(view[:4])  # a raise here skips the release
     view.release()
     return result
 
@@ -48,3 +48,33 @@ def leak_on_loop_continue(names):
         total += shm.size
         shm.close()
     return total
+
+
+def leak_on_exception(payload):
+    shm = SharedMemory(create=True, size=len(payload))
+    shm.buf[: len(payload)] = payload  # a raise here leaks the segment
+    shm.close()
+    shm.unlink()
+
+
+def leak_attached_segment(name):
+    shm = SharedMemory(name=name)
+    return bytes(shm.buf[:16])  # a copy escapes; the segment is never closed
+
+
+def leak_memoryview(shm):
+    view = memoryview(shm.buf)
+    return view[0]  # view pins the mapping and is never released
+
+
+def leak_buf_alias(shm):
+    buf = shm.buf
+    buf[0] = 1  # .buf alias kept without release()
+
+
+def leak_when_cast_raises(data):
+    view = memoryview(data)
+    view = view.cast("B")  # raises on a zero-size shape: view leaks
+    n = view.nbytes
+    view.release()
+    return n

@@ -31,15 +31,16 @@ def returned_to_caller(data):
 
 def derivation_keeps_obligation(data):
     view = memoryview(data)
-    view = view.cast("B")  # same resource, narrowed -- not a leak
-    n = view.nbytes
-    view.release()
-    return n
+    try:
+        view = view.cast("B")  # same resource, narrowed -- not a leak
+        return view.nbytes
+    finally:
+        view.release()
 
 
 def released_on_both_branches(data, wide):
     view = memoryview(data)
-    if wide:
+    if wide:  # no call between acquire and release: nothing can raise
         n = view.nbytes
         view.release()
     else:
@@ -57,3 +58,31 @@ def nested_try_with_reraise(data):
             raise ValueError("empty buffer") from None
     finally:
         view.release()
+
+
+def close_in_finally(payload):
+    shm = SharedMemory(create=True, size=len(payload))
+    try:
+        shm.buf[: len(payload)] = payload
+        return shm.name
+    finally:
+        shm.close()
+        shm.unlink()
+
+
+def transfer_to_registry(pool, length):
+    shm = SharedMemory(create=True, size=length)
+    pool.append(shm)  # ownership transferred to the pool
+    return shm
+
+
+class SegmentOwner:
+    def adopt(self, length):
+        shm = SharedMemory(create=True, size=length)
+        self.segment = shm  # ownership transferred to the instance
+        return self.segment
+
+
+def suppressed_leak(name):
+    shm = SharedMemory(name=name)  # primacy-lint: disable=PL101 -- closed by caller
+    return shm.buf

@@ -299,6 +299,34 @@ def test_implicit_raises_modes():
     assert call_strict.successors(EDGE_EXCEPTION) == [cfg_calls.raise_exit]
 
 
+def test_strict_mode_raises_from_headers_not_suites():
+    cfg = make_cfg(
+        """
+        def f(view, wide):
+            if wide:
+                view.release()
+            for item in view:
+                g(item)
+            with lock:
+                h()
+            def inner():
+                return k()
+            return 0
+        """,
+        implicit_raises="calls",
+    )
+    headers = [
+        n
+        for n in cfg.statement_nodes()
+        if n.label in ("if", "loop-head", "with-enter", "FunctionDef")
+    ]
+    assert len(headers) == 4
+    assert all(n.successors(EDGE_EXCEPTION) == [] for n in headers)
+    # The suite's own call is still a raise site.
+    release = next(n for n in cfg.statement_nodes() if n.label == "Expr")
+    assert release.successors(EDGE_EXCEPTION) == [cfg.raise_exit]
+
+
 def test_invalid_implicit_raises_rejected():
     with pytest.raises(ValueError):
         make_cfg("def f():\n    pass\n", implicit_raises="always")

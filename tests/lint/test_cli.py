@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.lint import Severity, lint_paths
 
@@ -83,54 +85,39 @@ def test_baseline_round_trip(tmp_path, capsys):
 
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for code in ("PL001", "PL002", "PL003", "PL004", "PL005"):
-        assert code in out
-    assert "PL101" not in out
+    listed = [
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("PL")
+    ]
+    assert listed == [
+        "PL001", "PL002", "PL004", "PL005", "PL101", "PL102", "PL103",
+    ]
 
 
 def test_list_rules_deep_includes_deep_tier(capsys):
-    assert main(["lint", "--list-rules", "--deep"]) == 0
+    """The CFG ("deep") tier is listed without a flag; ``--deep`` is gone."""
+    assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ("PL101", "PL102", "PL103"):
         assert code in out
     assert "PL104" not in out
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--list-rules", "--deep"])
+    assert exc.value.code == 2
 
 
 def test_deep_gate_on_repo_src(monkeypatch):
-    """The acceptance gate: ``primacy lint --deep src`` exits 0."""
+    """``primacy lint`` with no path lints src and exits 0."""
     monkeypatch.chdir(REPO_ROOT)
-    assert main(["lint", "--deep", "src"]) == 0
+    assert main(["lint"]) == 0
 
 
 def test_deep_flags_bad_fixture(capsys, monkeypatch):
+    """The CFG rules run without a flag."""
     monkeypatch.chdir(REPO_ROOT)
-    rc = main(
-        [
-            "lint",
-            "--deep",
-            str(FIXTURES / "pl101_bad.py"),
-            "--select",
-            "PL101",
-        ]
-    )
-    assert rc == 1
+    assert main(["lint", str(FIXTURES / "pl101_bad.py")]) == 1
     assert "PL101" in capsys.readouterr().out
-
-
-def test_deep_cache_reports_stats(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    cache = tmp_path / "cache.json"
-    # pl103_good is clean under the shallow tier too (pl101_good
-    # deliberately trips the cruder PL003 heuristic).
-    fixture = str(FIXTURES / "pl103_good.py")
-
-    assert main(["lint", "--deep", fixture, "--cache", str(cache)]) == 0
-    assert "project phase miss" in capsys.readouterr().err
-
-    assert main(["lint", "--deep", fixture, "--cache", str(cache)]) == 0
-    err = capsys.readouterr().err
-    assert "1 file hit(s), 0 miss(es), project phase hit" in err
 
 
 def test_explain_prints_rationale_and_examples(capsys, monkeypatch):

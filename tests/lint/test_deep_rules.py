@@ -1,13 +1,15 @@
-"""Deep rules (PL101..PL103) over their fixtures plus src regressions."""
+"""The CFG ("deep") rules PL101..PL103 over their fixtures plus src regressions."""
 
 import ast
+import re
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.lint import lint_paths
-from repro.lint.rules import all_rules, deep_rules
+from repro.lint.rules import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -17,19 +19,12 @@ DEEP_CODES = ("PL101", "PL102", "PL103")
 
 
 def run_deep_rule(code, paths, project_root=REPO_ROOT):
-    return lint_paths(
-        paths,
-        all_rules() + deep_rules(),
-        select=[code],
-        project_root=project_root,
-    )
+    return lint_paths(paths, select=[code], project_root=project_root)
 
 
 def test_deep_rules_registered_once():
-    codes = [rule.code for rule in deep_rules()]
-    assert codes == list(DEEP_CODES)
-    shallow = {rule.code for rule in all_rules()}
-    assert shallow.isdisjoint(codes)
+    codes = [rule.code for rule in all_rules()]
+    assert codes == ["PL001", "PL002", "PL004", "PL005", *DEEP_CODES]
 
 
 @pytest.mark.parametrize("code", DEEP_CODES)
@@ -48,10 +43,26 @@ def test_good_fixture_is_clean(code):
 
 
 def test_pl101_flags_every_leak_shape():
-    findings = run_deep_rule("PL101", [FIXTURES / "pl101_bad.py"])
-    # One finding per leaking function, none doubled up.
-    assert len(findings) == 5
-    assert len({f.line for f in findings}) == 5
+    fixture = FIXTURES / "pl101_bad.py"
+    findings = run_deep_rule("PL101", [fixture])
+    # One finding per leaked acquisition, none doubled up: every
+    # function once, and leak_on_rebind twice (both of its views).
+    functions = {
+        node.name
+        for node in ast.parse(fixture.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    flagged = Counter(
+        re.search(r"acquired in '(\w+)'", f.message).group(1)
+        for f in findings
+    )
+    assert set(flagged) == functions
+    assert flagged["leak_on_rebind"] == 2
+    assert len(findings) == len(functions) + 1
+    assert len({f.line for f in findings}) == len(findings)
+    segments = [f for f in findings if "SharedMemory segment" in f.message]
+    views = [f for f in findings if "memoryview" in f.message]
+    assert (len(segments), len(views)) == (4, 7)
 
 
 def test_pl103_names_both_functions():
@@ -147,10 +158,7 @@ def test_pl102_catches_pre_fix_ledger_lock_shape(tmp_path):
 
 def test_deep_rules_clean_over_src():
     findings = lint_paths(
-        [SRC],
-        all_rules() + deep_rules(),
-        select=list(DEEP_CODES),
-        project_root=REPO_ROOT,
+        [SRC], select=list(DEEP_CODES), project_root=REPO_ROOT
     )
     assert findings == [], [
         f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings

@@ -1,7 +1,9 @@
-"""Each PL rule must flag its bad fixture and pass its good fixture."""
+"""The AST rules (PL001, PL002, PL004, PL005) on their fixtures, and PL003's
+shapes, now checked by PL101."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,6 @@ def run_rule(code: str, fixture: Path):
 BAD_FIXTURES = {
     "PL001": FIXTURES / "pl001_bad.py",
     "PL002": FIXTURES / "pl002_bad.py",
-    "PL003": FIXTURES / "pl003_bad.py",
     "PL004": FIXTURES / "core" / "pl004_bad.py",
     "PL005": FIXTURES / "compressors" / "pl005_bad.py",
 }
@@ -27,7 +28,6 @@ BAD_FIXTURES = {
 GOOD_FIXTURES = {
     "PL001": FIXTURES / "pl001_good.py",
     "PL002": FIXTURES / "pl002_good.py",
-    "PL003": FIXTURES / "pl003_good.py",
     "PL004": FIXTURES / "core" / "pl004_good.py",
     "PL005": FIXTURES / "compressors" / "pl005_good.py",
 }
@@ -72,8 +72,26 @@ class TestPL002:
 
 
 class TestPL003:
+    """PL003's four shared-memory leak shapes, folded into PL101.
+
+    The shapes live in ``pl101_bad.py`` under their PL003 names; PL101
+    must still flag each once, two segments and two views.
+    """
+
+    SHAPES = {
+        "leak_on_exception",
+        "leak_attached_segment",
+        "leak_memoryview",
+        "leak_buf_alias",
+    }
+
     def test_flags_every_bad_pattern(self):
-        findings = run_rule("PL003", BAD_FIXTURES["PL003"])
+        findings = [
+            f
+            for f in run_rule("PL101", FIXTURES / "pl101_bad.py")
+            if re.search(r"acquired in '(\w+)'", f.message).group(1)
+            in self.SHAPES
+        ]
         assert len(findings) == 4
         segments = [f for f in findings if "SharedMemory segment" in f.message]
         views = [f for f in findings if "memoryview" in f.message]
