@@ -11,6 +11,11 @@ The machine is the Jaguar-like environment scaled by (our pyzlib CTP /
 paper zlib CTP), both averaged over the 20 Table III datasets, so the
 compute/communication balance matches the paper's testbed; see
 repro.iosim.environment.
+
+The read side compares codec decode times with the read calibration (the
+null bars are nothing but that calibration), so the two are measured in
+alternation, ``READ_ROUNDS`` times, and each keeps its best: a slow phase
+of a shared host then hits both.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from _common import dataset_bytes
 # 128 KiB chunk -- the regime where per-chunk costs are representative of
 # the paper's 3 MB chunks.  Reducible for smoke runs via the env var.
 FIG4_VALUES = int(os.environ.get("REPRO_FIG4_VALUES", 131072))
+#: Alternating rounds of the read calibration and the read cells.
+READ_ROUNDS = 3
 
 from repro.compressors import get_codec
 from repro.compressors.base import CodecMetrics
@@ -32,6 +39,7 @@ from repro.core import PrimacyConfig
 from repro.datasets import FIGURE4_DATASETS, dataset_names
 from repro.iosim import (
     CodecStrategy,
+    CompressionStrategy,
     NullStrategy,
     PrimacyStrategy,
     StagingSimulator,
@@ -40,6 +48,7 @@ from repro.iosim import (
     measure_reference_throughput,
 )
 from repro.iosim.environment import PAPER_ZLIB_CTP_MBPS, PAPER_ZLIB_DTP_MBPS
+from repro.iosim.strategy import ChunkWork
 from repro.model import (
     calibrate_from_metrics,
     calibrate_from_stats,
@@ -72,6 +81,18 @@ def _make_strategy(name: str, per_node_bytes: int):
             PrimacyConfig(chunk_bytes=max(per_node_bytes, 8 * 1024))
         )
     return CodecStrategy(get_codec(name))
+
+
+class _Replay(CompressionStrategy):
+    """Hands the simulator node works measured earlier, in node order."""
+
+    def __init__(self, name: str, works: tuple[ChunkWork, ...]) -> None:
+        self.name = name
+        self._works = iter(works)
+
+    def process_chunk(self, chunk: bytes) -> ChunkWork:
+        """The next recorded node work (the chunk was measured already)."""
+        return next(self._works)
 
 
 def _effective_rates(works) -> tuple[float, float]:
@@ -149,32 +170,56 @@ def fig4_grid() -> tuple[float, dict[tuple[str, str, str], Fig4Cell]]:
     scale = _pyzlib_reference_bps(measure_reference_throughput, references) / (
         PAPER_ZLIB_CTP_MBPS * 1e6
     )
-    read_scale = _pyzlib_reference_bps(
-        measure_reference_decompression, references
-    ) / (PAPER_ZLIB_DTP_MBPS * 1e6)
-    env = jaguar_like_environment(scale, read_scale=read_scale)
-    sim = StagingSimulator(env)
+    sim = StagingSimulator(jaguar_like_environment(scale))
 
     cells: dict[tuple[str, str, str], Fig4Cell] = {}
+
+    def add(direction, dataset, strat_name, env, result, stats) -> None:
+        cells[(dataset, strat_name, direction)] = Fig4Cell(
+            dataset=dataset,
+            strategy=strat_name,
+            direction=direction,
+            empirical_mbps=result.throughput_mbps,
+            theoretical_mbps=_theory(env, result, stats),
+            compressed_fraction=result.compressed_fraction,
+        )
+
     for dataset in FIGURE4_DATASETS:
         data = dataset_bytes(dataset, FIG4_VALUES)
         for strat_name in STRATEGIES:
-            for direction in ("write", "read"):
+            strategy = _make_strategy(strat_name, per_node_bytes)
+            result = sim.simulate_write(data, strategy)
+            stats = getattr(strategy, "last_stats", None)
+            add("write", dataset, strat_name, sim.env, result, stats)
+
+    # Reads: the calibration pass and every cell's node decode times, in
+    # alternation; the fastest calibration and each cell's fastest round
+    # count, composed on the machine of that calibration.
+    read_bps = 0.0
+    fastest: dict[tuple[str, str], tuple[float, tuple, object]] = {}
+    for _ in range(READ_ROUNDS):
+        read_bps = max(
+            read_bps,
+            _pyzlib_reference_bps(measure_reference_decompression, references),
+        )
+        for dataset in FIGURE4_DATASETS:
+            data = dataset_bytes(dataset, FIG4_VALUES)
+            for strat_name in STRATEGIES:
                 strategy = _make_strategy(strat_name, per_node_bytes)
-                result = (
-                    sim.simulate_write(data, strategy)
-                    if direction == "write"
-                    else sim.simulate_read(data, strategy)
-                )
-                theory = _theory(
-                    env, result, getattr(strategy, "last_stats", None)
-                )
-                cells[(dataset, strat_name, direction)] = Fig4Cell(
-                    dataset=dataset,
-                    strategy=strat_name,
-                    direction=direction,
-                    empirical_mbps=result.throughput_mbps,
-                    theoretical_mbps=theory,
-                    compressed_fraction=result.compressed_fraction,
-                )
+                result = sim.simulate_read(data, strategy)
+                key = (dataset, strat_name)
+                if key not in fastest or result.t_compute < fastest[key][0]:
+                    fastest[key] = (
+                        result.t_compute,
+                        result.node_works,
+                        getattr(strategy, "last_stats", None),
+                    )
+    env = jaguar_like_environment(
+        scale, read_scale=read_bps / (PAPER_ZLIB_DTP_MBPS * 1e6)
+    )
+    read_sim = StagingSimulator(env)
+    for (dataset, strat_name), (_, works, stats) in fastest.items():
+        data = dataset_bytes(dataset, FIG4_VALUES)
+        result = read_sim.simulate_read(data, _Replay(strat_name, works))
+        add("read", dataset, strat_name, env, result, stats)
     return scale, cells

@@ -112,7 +112,9 @@ def measure_dataset(
     row: dict = {"original_bytes": n, "static": {}}
 
     for cand in planner_cfg.candidates:
-        comp = PrimacyCompressor(cand.config(planner_cfg.base))
+        comp = PrimacyCompressor(
+            cand.config(planner_cfg.base), codec=cand.backend()
+        )
         blob = b""
 
         def _compress():

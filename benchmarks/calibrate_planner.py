@@ -1,4 +1,4 @@
-"""Refit the planner's ``pyzlib`` parse-time model (PYZLIB_PARSE_NS).
+"""Refit the planner's ``pyzlib`` compute-time tables.
 
 The adaptive planner predicts ``pyzlib`` compress time from the
 deterministic LZ77 parse-operation counts of its probe (see
@@ -9,10 +9,13 @@ solves the least-squares system::
 
     ns_per_byte ~= W*(work/B) + L*(lit/B) + M*(match/B) + K
 
+It also times the same chunks under the run parse (zlib's ``Z_RLE``,
+the planner's ``pyzlib-rle`` candidate) and prints the median ns/byte.
 Run it after hardware or interpreter changes, then paste the printed
-coefficients into ``repro.planner.cost.PYZLIB_PARSE_NS``::
+values into ``repro.planner.cost.PYZLIB_PARSE_NS`` and
+``PYZLIB_RLE_NS``::
 
-    python benchmarks/calibrate_planner.py --n-values 65536
+    python benchmarks/calibrate_planner.py --n-values 65536 --repeats 7
 """
 
 from __future__ import annotations
@@ -30,22 +33,32 @@ from repro.datasets import dataset_names, generate_bytes
 from repro.planner.candidates import Candidate
 
 
-def _measure(
-    name: str, n_values: int, repeats: int, seed: int
-) -> tuple[list[float], float]:
-    """(normalized features + intercept, measured ns/byte) for one dataset."""
-    data = generate_bytes(name, n_values, seed)
-    n = len(data)
-    cand = Candidate(codec="pyzlib", high_bytes=2)
-    comp = PrimacyCompressor(cand.config(PrimacyConfig(chunk_bytes=n)))
-    comp.compress_chunk(data)  # warm-up (arena growth)
-    with collect_parse_stats() as parse:
-        comp.compress_chunk(data)
+def _best_ns_per_byte(comp: PrimacyCompressor, data: bytes, repeats: int) -> float:
+    """Best-of-``repeats`` whole-chunk compress time, ns per chunk byte."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         comp.compress_chunk(data)
         best = min(best, time.perf_counter() - t0)
+    return best / len(data) * 1e9
+
+
+def _measure(
+    name: str, n_values: int, repeats: int, seed: int
+) -> tuple[list[float], float, float]:
+    """(normalized features + intercept, measured ns/byte, run-parse
+    ns/byte) for one dataset."""
+    data = generate_bytes(name, n_values, seed)
+    n = len(data)
+    base = PrimacyConfig(chunk_bytes=n)
+    comps = []
+    for strategy in ("default", "rle"):
+        cand = Candidate(codec="pyzlib", high_bytes=2, strategy=strategy)
+        comp = PrimacyCompressor(cand.config(base), codec=cand.backend())
+        comp.compress_chunk(data)  # warm-up (arena growth)
+        comps.append(comp)
+    with collect_parse_stats() as parse:
+        comps[0].compress_chunk(data)
     # Normalize per *chunk* byte (the unit of the time target), not per
     # tokenized-stream byte: the codec only sees the high + compressible
     # streams, and their share of the chunk varies by dataset.
@@ -56,7 +69,8 @@ def _measure(
         parse.match_bytes * per_byte,
         1.0,
     ]
-    return features, best / n * 1e9
+    nsb, rle_nsb = (_best_ns_per_byte(comp, data, repeats) for comp in comps)
+    return features, nsb, rle_nsb
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,8 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         _measure(name, args.n_values, args.repeats, args.seed)
         for name in names
     ]
-    design = np.array([features for features, _ in rows])
-    target = np.array([nsb for _, nsb in rows])
+    design = np.array([features for features, _, _ in rows])
+    target = np.array([nsb for _, nsb, _ in rows])
+    rle_median = float(np.median([rle for _, _, rle in rows]))
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     predicted = design @ coef
     residual = float(((target - predicted) ** 2).sum())
@@ -81,15 +96,16 @@ def main(argv: list[str] | None = None) -> int:
     r_squared = 1.0 - residual / variance if variance else 1.0
 
     table = Table(
-        f"pyzlib parse-time fit, n_values={args.n_values}",
-        ["dataset", "work/B", "lit/B", "match/B", "ns/B", "predicted"],
+        f"pyzlib parse-time fit, n_values={args.n_values}, best of {args.repeats}",
+        ["dataset", "work/B", "lit/B", "match/B", "ns/B", "predicted", "rle ns/B"],
     )
-    for name, (features, nsb), pred in zip(names, rows, predicted):
-        table.add(name, features[0], features[1], features[2], nsb, pred)
+    for name, (features, nsb, rle), pred in zip(names, rows, predicted):
+        table.add(name, features[0], features[1], features[2], nsb, pred, rle)
     table.note(
         f"PYZLIB_PARSE_NS = ({coef[0]:.1f}, {coef[1]:.1f}, "
         f"{coef[2]:.1f}, {coef[3]:.1f})  # R^2 = {r_squared:.3f}"
     )
+    table.note(f"PYZLIB_RLE_NS = {rle_median:.1f}  # median of rle ns/B")
     table.emit("CALIBRATE_planner.txt")
     return 0
 

@@ -25,6 +25,11 @@ stored blocks.  Damaged input raises a
 :class:`~repro.compressors.base.CorruptionError`.
 
 The ``level`` knob maps to hash-chain depth, like zlib's compression levels.
+The ``strategy`` knob picks the parse, like zlib's: ``"default"`` is the
+hash-chain parse above, ``"rle"`` is zlib's ``Z_RLE``
+(:func:`repro.compressors.lz77.rle_tokenize`), which matches only byte
+runs at distance 1.  Both emit the same token layout, so one decoder reads
+either stream and nothing in a stream says which parse made it.
 """
 
 from __future__ import annotations
@@ -34,11 +39,20 @@ import numpy as np
 from repro.compressors._buckets import decode_bucketed, encode_bucketed
 from repro.compressors.base import Codec, CodecError, checked_uvarint, register_codec
 from repro.compressors.huffman import decode_symbol_block, encode_symbol_block
-from repro.compressors.lz77 import MIN_MATCH, TokenStream, reassemble, tokenize
+from repro.compressors.lz77 import (
+    MIN_MATCH,
+    TokenStream,
+    reassemble,
+    rle_tokenize,
+    tokenize,
+)
 from repro.obs.trace import stage_span
 from repro.util.varint import encode_uvarint
 
-__all__ = ["DeflateCodec"]
+__all__ = ["STRATEGIES", "DeflateCodec"]
+
+#: Parse strategies, named after zlib's (``Z_DEFAULT_STRATEGY``, ``Z_RLE``).
+STRATEGIES = ("default", "rle")
 
 _MODE_RAW = 0
 _MODE_COMPRESSED = 1
@@ -65,14 +79,20 @@ class DeflateCodec(Codec):
     ----------
     level:
         1 (fastest) .. 9 (best ratio); controls match-search depth.
+    strategy:
+        ``"default"`` (the hash-chain parse) or ``"rle"`` (zlib's
+        ``Z_RLE``: distance-1 runs only; ``level`` does not apply).
     """
 
     name = "pyzlib"
 
-    def __init__(self, level: int = 6) -> None:
+    def __init__(self, level: int = 6, *, strategy: str = "default") -> None:
         if level not in _LEVEL_CHAIN:
             raise ValueError("level must be in 1..9")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}")
         self.level = level
+        self.strategy = strategy
         self._max_chain, self._lazy = _LEVEL_CHAIN[level]
 
     def compress(self, data: bytes) -> bytes:
@@ -83,7 +103,10 @@ class DeflateCodec(Codec):
         if n == 0:
             return header
         with stage_span(self.name, "tokenize"):
-            stream = tokenize(data, max_chain=self._max_chain, lazy=self._lazy)
+            if self.strategy == "rle":
+                stream = rle_tokenize(data)
+            else:
+                stream = tokenize(data, max_chain=self._max_chain, lazy=self._lazy)
         with stage_span(self.name, "huffman"):
             body = self._encode_tokens(stream)
         if len(body) >= n:

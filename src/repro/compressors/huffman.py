@@ -13,8 +13,8 @@ codecs and a registered standalone codec (``huffman``).  Three pieces:
   next ``2**(MAX_BITS - l_i)`` window entries.  The last sum is the
   integer Kraft sum.
 * :class:`HuffmanTable` -- vectorized encoding (table gather +
-  :func:`repro.util.bitio.pack_bits`) and one vectorized decoder for
-  every stream size.
+  :class:`repro.util.bitio.BitWriter`, in slabs) and one vectorized
+  decoder for every stream size.
 
 **Why the decoder is block-synchronized.**  Huffman decoding is a serial
 bit-chase, which is hopeless in pure Python at MB scale.  The encoder
@@ -45,7 +45,7 @@ from repro.compressors.base import (
     TruncationError,
     checked_uvarint,
 )
-from repro.util.bitio import pack_bits
+from repro.util.bitio import BitWriter
 from repro.util.varint import encode_uvarint
 
 __all__ = [
@@ -61,7 +61,8 @@ __all__ = [
 MAX_BITS = 12
 SYNC_SYMBOLS = 1024  # upper bound on the sync block size
 _SYNC_MIN = 64
-# Elements per vectorized decoder pass: keeps each pass's temporaries in cache.
+# Elements per vectorized encoder or decoder pass: keeps each pass's
+# temporaries in cache and bounds them on large symbol blocks.
 _SLAB = 1 << 15
 
 
@@ -170,28 +171,38 @@ def _huffman_depths(freqs: np.ndarray, present: np.ndarray) -> np.ndarray:
 def _package_merge(
     freqs: np.ndarray, present: np.ndarray, max_bits: int
 ) -> np.ndarray:
-    """Exact length-limited lengths (package-merge); the slow fallback."""
-    lengths = np.zeros(freqs.size, dtype=np.int64)
-    # Items are (weight, symbol-count-vector) pairs; the count vector is a
-    # dict {symbol: multiplicity} since packages stay tiny for byte-sized
-    # alphabets.
-    leaves = sorted(
-        ((int(freqs[s]), {int(s): 1}) for s in present), key=lambda item: item[0]
-    )
-    merged = list(leaves)
+    """Exact length-limited lengths (package-merge); the fallback.
+
+    Level by level, adjacent pairs of the weight-sorted list are packaged
+    and merged back with the leaves (a stable sort: leaves first on equal
+    weights).  A symbol's length is the number of times it occurs in the
+    first ``2n - 2`` items of the last list.  Leaves and packages both
+    keep their order inside every list, so the first ``m`` items hold the
+    first ``j`` leaves and the first ``m - j`` packages, which expand to
+    the first ``2(m - j)`` items of the list before: one pass back over
+    the levels counts every length, without building the packages.
+    """
+    order = present[np.argsort(freqs[present], kind="stable")]
+    leaf_w = freqs[order]
+    n = order.size
+    merged_w = leaf_w
+    is_leaf = []
     for _ in range(max_bits - 1):
-        packages = []
-        for i in range(0, len(merged) - 1, 2):
-            w = merged[i][0] + merged[i + 1][0]
-            counts = dict(merged[i][1])
-            for sym, c in merged[i + 1][1].items():
-                counts[sym] = counts.get(sym, 0) + c
-            packages.append((w, counts))
-        merged = sorted(leaves + packages, key=lambda item: item[0])
-    take = 2 * present.size - 2
-    for _, counts in merged[:take]:
-        for sym, c in counts.items():
-            lengths[sym] += c
+        pairs = merged_w.size // 2 * 2
+        package_w = merged_w[0:pairs:2] + merged_w[1:pairs:2]
+        cat_w = np.concatenate([leaf_w, package_w])
+        perm = np.argsort(cat_w, kind="stable")
+        merged_w = cat_w[perm]
+        is_leaf.append(perm < n)
+    counts = np.zeros(n, dtype=np.int64)
+    take = 2 * n - 2
+    for leaf_flags in reversed(is_leaf):
+        leaves = int(np.count_nonzero(leaf_flags[:take]))
+        counts[:leaves] += 1
+        take = 2 * (min(take, leaf_flags.size) - leaves)
+    counts[:take] += 1
+    lengths = np.zeros(freqs.size, dtype=np.int64)
+    lengths[order] = counts
     return lengths
 
 
@@ -229,10 +240,11 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
 class HuffmanTable:
     """Canonical Huffman table over an alphabet of ``lengths.size`` symbols.
 
-    Encoding gathers per-symbol (code, length) arrays and defers to
-    :func:`pack_bits`.  Decoding uses flat lookup tables indexed by the next
-    ``MAX_BITS``-bit window.  Codes are built only when encoding needs
-    them; decode tables when the table is deserialized or first decodes.
+    Encoding gathers per-symbol (code, length) arrays a slab at a time
+    and appends them to a :class:`~repro.util.bitio.BitWriter`.  Decoding
+    uses flat lookup tables indexed by the next ``MAX_BITS``-bit window.
+    Codes are built only when encoding needs them; decode tables when the
+    table is deserialized or first decodes.
     """
 
     def __init__(self, lengths: np.ndarray) -> None:
@@ -267,14 +279,22 @@ class HuffmanTable:
         symbols = np.ascontiguousarray(symbols)
         if symbols.size == 0:
             return b"", np.zeros(0, dtype=np.int64)
-        sym_lengths = self.lengths[symbols]
-        if sym_lengths.min() == 0:
-            raise CodecError("symbol with no assigned code in input")
-        sym_codes = self.codes[symbols]
-        ends = np.cumsum(sym_lengths)
-        starts = ends - sym_lengths
-        offsets = starts[::sync].copy()
-        return pack_bits(sym_codes, sym_lengths), offsets
+        # Gather and pack a slab of symbols at a time, so the per-symbol
+        # temporaries stay slab-sized; a slab is whole sync blocks.
+        slab = max(_SLAB - _SLAB % sync, sync)
+        writer = BitWriter()
+        offsets = []
+        for lo in range(0, symbols.size, slab):
+            part = symbols[lo : lo + slab]
+            sym_lengths = self.lengths[part]
+            if sym_lengths.min() == 0:
+                raise CodecError("symbol with no assigned code in input")
+            starts = np.cumsum(sym_lengths)
+            starts -= sym_lengths
+            starts += writer.bits
+            offsets.append(starts[::sync])
+            writer.write(self.codes[part], sym_lengths)
+        return writer.getvalue(), np.concatenate(offsets)
 
     # -- decode ----------------------------------------------------------
 
@@ -434,7 +454,10 @@ def encode_symbol_block(symbols: np.ndarray, alphabet: int) -> bytes:
         return bytes(out)
     if int(symbols.min()) < 0 or int(symbols.max()) >= alphabet:
         raise ValueError("symbol out of alphabet range")
-    freqs = np.bincount(symbols.astype(np.int64), minlength=alphabet)
+    freqs = np.zeros(alphabet, dtype=np.int64)
+    for lo in range(0, symbols.size, _SLAB):
+        part = symbols[lo : lo + _SLAB].astype(np.int64)
+        freqs += np.bincount(part, minlength=alphabet)
     table = HuffmanTable.from_frequencies(freqs)
     sync = choose_sync(symbols.size)
     stream, offsets = table.encode(symbols, sync)

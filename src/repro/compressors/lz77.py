@@ -29,6 +29,12 @@ visited position costs a few interpreter steps:
   4,095 of them).  Inside a distance-1 run they all share one hash, so one
   slice assignment links them.
 * One NumPy mask gathers the literal bytes at the end.
+
+:func:`rle_tokenize` is zlib's other parse, its ``Z_RLE`` strategy: only
+distance-1 matches, found from the byte runs alone, with no hash chains
+and no per-byte Python.  Its token streams have the same layout, so
+:func:`reassemble` and the ``pyzlib`` decoder read them; streams whose
+matches all have distance 1 expand without a loop over the matches.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.compressors.base import CodecError
+from repro.compressors.rle import find_runs
 
 __all__ = [
     "MIN_MATCH",
@@ -47,6 +54,7 @@ __all__ = [
     "TokenStream",
     "collect_parse_stats",
     "reassemble",
+    "rle_tokenize",
     "tokenize",
 ]
 
@@ -55,6 +63,7 @@ _HASH_BITS = 16
 _HASH_SIZE = 1 << _HASH_BITS
 _MULT = 2654435761  # Knuth multiplicative hash constant
 _SEED_CAP = 4096  # a match seeds positions i + 1 .. i + _SEED_CAP - 1 at most
+_RUN_SLAB = 1 << 16  # input bytes per run-finding pass of rle_tokenize
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,10 @@ def _short_stream(data: bytes) -> TokenStream:
 
 
 def _stream(
-    data: bytes, starts: list[int], lens: list[int], dists: list[int]
+    data: bytes,
+    starts: list[int] | np.ndarray,
+    lens: list[int] | np.ndarray,
+    dists: list[int] | np.ndarray,
 ) -> TokenStream:
     """The :class:`TokenStream` of the matches ``(starts, lens, dists)``."""
     n = len(data)
@@ -172,6 +184,41 @@ def _stream(
     return TokenStream(
         lit_runs, match_lens, np.asarray(dists, dtype=np.int64), literals.tobytes(), n
     )
+
+
+def rle_tokenize(data: bytes) -> TokenStream:
+    """zlib's ``Z_RLE`` parse of ``data``: distance-1 matches only.
+
+    Every run of one byte value longer than :data:`MIN_MATCH` becomes its
+    first byte as a literal plus one distance-1 match over the rest;
+    every other byte is a literal.  Runs come from
+    :func:`~repro.compressors.rle.find_runs` over slabs of
+    ``_RUN_SLAB`` bytes, so the run tables stay slab-sized; the run open
+    at a slab's end carries into the next slab.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    kept_starts = [np.zeros(0, dtype=np.int64)]
+    kept_lens = [np.zeros(0, dtype=np.int64)]
+    open_start, open_len = 0, 0  # the run reaching the previous slab's end
+    for lo in range(0, buf.size, _RUN_SLAB):
+        starts, lens = find_runs(buf[lo : lo + _RUN_SLAB])
+        starts += lo
+        if open_len and buf[lo] == buf[lo - 1]:
+            starts[0] = open_start
+            lens[0] += open_len
+        elif open_len > MIN_MATCH:
+            kept_starts.append(np.array([open_start]))
+            kept_lens.append(np.array([open_len]))
+        long = lens[:-1] > MIN_MATCH
+        kept_starts.append(starts[:-1][long])
+        kept_lens.append(lens[:-1][long])
+        open_start, open_len = int(starts[-1]), int(lens[-1])
+    if open_len > MIN_MATCH:
+        kept_starts.append(np.array([open_start]))
+        kept_lens.append(np.array([open_len]))
+    match_starts = np.concatenate(kept_starts) + 1
+    match_lens = np.concatenate(kept_lens) - 1
+    return _stream(data, match_starts, match_lens, np.ones_like(match_lens))
 
 
 @dataclass
@@ -432,8 +479,22 @@ def _tokenize_counted(
 
 
 def reassemble(stream: TokenStream) -> bytes:
-    """Invert :func:`tokenize`: expand a token stream back to raw bytes."""
+    """Invert :func:`tokenize`: expand a token stream back to raw bytes.
+
+    A stream whose matches all have distance 1 (every
+    :func:`rle_tokenize` parse) is expanded in one pass, with no loop
+    over its matches: each such match repeats the byte before it, so
+    every literal is written once plus the lengths of the matches that
+    directly follow it.
+    """
     stream.validate()
+    if stream.n_matches and int(stream.match_dists.max()) == 1:
+        if stream.lit_runs[0] == 0:
+            raise CodecError("match distance reaches before buffer start")
+        literals = np.frombuffer(stream.literals, dtype=np.uint8)
+        counts = np.ones(literals.size, dtype=np.int64)
+        np.add.at(counts, np.cumsum(stream.lit_runs[:-1]) - 1, stream.match_lens)
+        return np.repeat(literals, counts).tobytes()
     out = bytearray()
     literals = stream.literals
     lp = 0

@@ -18,16 +18,11 @@ This package is the paper's primary contribution.  The pipeline (Fig 2):
    model.
 """
 
-from repro.core.bytesplit import (
-    combine_bytes,
-    split_bytes,
-    values_to_byte_matrix,
-    byte_matrix_to_values,
-)
+from repro.core.bytesplit import split_bytes, values_to_byte_matrix
 from repro.core.chunking import Chunker, DEFAULT_CHUNK_BYTES
 from repro.core.idmap import FrequencyIndex, IdMapper, IndexReusePolicy
 from repro.core.kernels import ScratchArena
-from repro.core.linearize import column_linearize, row_linearize, delinearize
+from repro.core.linearize import column_linearize, row_linearize
 from repro.core.primacy import (
     PrimacyCodec,
     PrimacyCompressor,
@@ -37,9 +32,7 @@ from repro.core.primacy import (
 
 __all__ = [
     "values_to_byte_matrix",
-    "byte_matrix_to_values",
     "split_bytes",
-    "combine_bytes",
     "Chunker",
     "DEFAULT_CHUNK_BYTES",
     "FrequencyIndex",
@@ -48,7 +41,6 @@ __all__ = [
     "ScratchArena",
     "column_linearize",
     "row_linearize",
-    "delinearize",
     "PrimacyCodec",
     "PrimacyCompressor",
     "PrimacyConfig",

@@ -18,12 +18,7 @@ import sys
 
 import numpy as np
 
-__all__ = [
-    "values_to_byte_matrix",
-    "byte_matrix_to_values",
-    "split_bytes",
-    "combine_bytes",
-]
+__all__ = ["values_to_byte_matrix", "split_bytes"]
 
 _NATIVE_IS_LITTLE = sys.byteorder == "little"
 
@@ -60,14 +55,6 @@ def values_to_byte_matrix(data: bytes | np.ndarray, word_bytes: int = 8) -> np.n
     return buf.reshape(-1, word_bytes)[:, ::-1].copy()
 
 
-def byte_matrix_to_values(matrix: np.ndarray) -> bytes:
-    """Invert :func:`values_to_byte_matrix`: back to little-endian raw bytes."""
-    matrix = np.asarray(matrix)
-    if matrix.dtype != np.uint8 or matrix.ndim != 2:
-        raise ValueError("expected an N x word_bytes uint8 matrix")
-    return np.ascontiguousarray(matrix[:, ::-1]).tobytes()
-
-
 def split_bytes(
     matrix: np.ndarray, high_bytes: int = 2
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +69,3 @@ def split_bytes(
     if not 1 <= high_bytes <= matrix.shape[1]:
         raise ValueError("high_bytes out of range")
     return matrix[:, :high_bytes], matrix[:, high_bytes:]
-
-
-def combine_bytes(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Invert :func:`split_bytes`."""
-    high = np.asarray(high)
-    low = np.asarray(low)
-    if high.shape[0] != low.shape[0]:
-        raise ValueError("row count mismatch")
-    return np.hstack([high, low])

@@ -243,18 +243,6 @@ class IdMapper:
         ids, index = self.apply_ids(seqs, index)
         return self._ids_to_bytes(ids), index
 
-    def invert(self, id_matrix: np.ndarray, index: FrequencyIndex) -> np.ndarray:
-        """Map an ID matrix back to the original high byte matrix."""
-        ids = self._bytes_to_ids(id_matrix)
-        if ids.size and int(ids.max()) >= index.n_unique:
-            raise CodecError("ID out of index range")
-        seqs = index.values[ids]
-        high = np.empty((ids.size, self.seq_bytes), dtype=np.uint8)
-        for col in range(self.seq_bytes):
-            shift = np.uint32(8 * (self.seq_bytes - 1 - col))
-            high[:, col] = ((seqs >> shift) & np.uint32(0xFF)).astype(np.uint8)
-        return high
-
     # -- helpers --------------------------------------------------------------
 
     def _ids_to_bytes(self, ids: np.ndarray) -> np.ndarray:
@@ -264,15 +252,6 @@ class IdMapper:
             shift = 8 * (self.seq_bytes - 1 - col)
             out[:, col] = ((ids >> shift) & 0xFF).astype(np.uint8)
         return out
-
-    def _bytes_to_ids(self, id_matrix: np.ndarray) -> np.ndarray:
-        id_matrix = np.asarray(id_matrix)
-        if id_matrix.ndim != 2 or id_matrix.shape[1] != self.seq_bytes:
-            raise ValueError("ID matrix width does not match seq_bytes")
-        ids = np.zeros(id_matrix.shape[0], dtype=np.int64)
-        for col in range(self.seq_bytes):
-            ids = (ids << 8) | id_matrix[:, col].astype(np.int64)
-        return ids
 
     # -- index reuse support ---------------------------------------------------
 

@@ -224,10 +224,9 @@ def ids_from_stream(
 ) -> np.ndarray:
     """Rebuild the ID vector from a linearized stream without the matrix.
 
-    Inverse of :func:`linearize_ids`; equivalent to ``IdMapper.
-    _bytes_to_ids(delinearize(stream, ...))`` but reads the byte planes
-    as (possibly strided) views of the stream and accumulates them
-    in-place into an arena-owned ``int32`` vector.
+    Inverse of :func:`linearize_ids`: it reads the byte planes as
+    (possibly strided) views of the stream and accumulates them in place
+    into an arena-owned ``int32`` vector; the ID matrix never exists.
     """
     buf = np.frombuffer(stream, dtype=np.uint8)
     if buf.size != n_values * seq_bytes:

@@ -20,7 +20,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["Linearization", "column_linearize", "row_linearize", "delinearize"]
+__all__ = ["Linearization", "column_linearize", "row_linearize"]
 
 
 class Linearization(enum.Enum):
@@ -40,18 +40,6 @@ def row_linearize(matrix: np.ndarray) -> bytes:
     """Serialize row-by-row (natural order)."""
     matrix = _check(matrix)
     return np.ascontiguousarray(matrix).tobytes()
-
-
-def delinearize(
-    data: bytes, n_rows: int, n_cols: int, order: "Linearization"
-) -> np.ndarray:
-    """Invert :func:`column_linearize` / :func:`row_linearize`."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.size != n_rows * n_cols:
-        raise ValueError("linearized buffer does not match matrix shape")
-    if order is Linearization.COLUMN:
-        return buf.reshape(n_cols, n_rows).T.copy()
-    return buf.reshape(n_rows, n_cols).copy()
 
 
 def _check(matrix: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ compression run doubles as a model calibration run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.core.kernels import (
     raw_matrix,
 )
 from repro.core.linearize import Linearization
-from repro.isobar import IsobarConfig, IsobarPartitioner
+from repro.isobar import IsobarAnalysis, IsobarConfig, IsobarPartitioner
 from repro.isobar.bitplane import BitplaneAnalysis, BitplanePartitioner
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -62,6 +62,7 @@ from repro.util.varint import decode_uvarint, encode_uvarint
 __all__ = [
     "PrimacyConfig",
     "PrimacyChunkStats",
+    "PreparedChunk",
     "PrimacyStats",
     "PrimacyCompressor",
     "PrimacyCodec",
@@ -331,6 +332,30 @@ class PrimacyChunkStats:
         return self.high_out + self.low_out + self.index_bytes
 
 
+@dataclass(frozen=True)
+class PreparedChunk:
+    """A chunk through the codec-independent stages of the pipeline.
+
+    Made by :meth:`PrimacyCompressor.prepare_chunk` and coded by
+    :meth:`PrimacyCompressor.encode_prepared`.  ``head`` is the record up
+    to the streams (flags, value count, index); ``low`` is a view of the
+    chunk's low-order bytes; ``checksum`` is empty without checksums.
+    """
+
+    config: PrimacyConfig
+    n_values: int
+    reuse: bool
+    used_index: FrequencyIndex
+    freq: np.ndarray
+    head: bytes
+    index_bytes: int
+    id_stream: bytes
+    low: np.ndarray
+    analysis: IsobarAnalysis | BitplaneAnalysis
+    checksum: bytes
+    prec_seconds: float
+
+
 @dataclass
 class PrimacyStats:
     """Aggregate statistics of one compression run.
@@ -481,6 +506,11 @@ class PrimacyCompressor:
     compressor owns its own.  The arena lives as long as the compressor
     and is reused by every chunk, so a steady-state stream performs no
     scratch allocations.
+
+    ``codec`` is the backend instance to compress with, for an option
+    that the configuration does not name (the planner's ``pyzlib`` run
+    parse); it must be registered under ``config.codec``, whose decoder
+    reads its streams.  By default the registry's instance is used.
     """
 
     def __init__(
@@ -488,10 +518,16 @@ class PrimacyCompressor:
         config: PrimacyConfig | None = None,
         *,
         arena: ScratchArena | None = None,
+        codec: Codec | None = None,
     ) -> None:
         self.config = config or PrimacyConfig()
         self.arena = arena if arena is not None else ScratchArena()
-        self._codec = get_codec(self.config.codec)
+        if codec is not None and codec.name != self.config.codec:
+            raise ValueError(
+                f"codec {codec.name!r} does not match config codec "
+                f"{self.config.codec!r}"
+            )
+        self._codec = codec if codec is not None else get_codec(self.config.codec)
         self._mapper = IdMapper(seq_bytes=self.config.high_bytes)
         self._chunker = Chunker(self.config.chunk_bytes, self.config.word_bytes)
 
@@ -579,18 +615,45 @@ class PrimacyCompressor:
             self.arena,
         )
 
+    def prepare_chunk(self, chunk: bytes | memoryview) -> PreparedChunk:
+        """The stages of :meth:`compress_chunk` that no codec runs in.
+
+        Split, frequency analysis, ID mapping (a fresh index), ID-stream
+        linearization, the ISOBAR analysis and the checksum.  Any
+        compressor whose config differs from this one's in the codec
+        alone finishes the chunk with :meth:`encode_prepared`, so the
+        planner pays for these stages once per chunk, not once per
+        whole-chunk candidate.  ``chunk`` must stay unchanged until then.
+        """
+        if len(chunk) % self.config.word_bytes:
+            raise ValueError("chunk must hold whole words")
+        return self._prepare(chunk, None, None)
+
+    def encode_prepared(
+        self, prepared: PreparedChunk
+    ) -> tuple[bytes, PrimacyChunkStats]:
+        """Code a :meth:`prepare_chunk` result with this compressor's codec."""
+        if replace(prepared.config, codec=self.config.codec) != self.config:
+            raise ValueError("chunk was prepared under another configuration")
+        return self._encode(prepared)
+
     def _compress_chunk(
         self,
         chunk: bytes,
         prev_index: FrequencyIndex | None,
         prev_freq: np.ndarray | None,
     ) -> tuple[bytes, PrimacyChunkStats, FrequencyIndex, np.ndarray]:
+        prepared = self._prepare(chunk, prev_index, prev_freq)
+        record, chunk_stats = self._encode(prepared)
+        return record, chunk_stats, prepared.used_index, prepared.freq
+
+    def _prepare(
+        self,
+        chunk: bytes | memoryview,
+        prev_index: FrequencyIndex | None,
+        prev_freq: np.ndarray | None,
+    ) -> PreparedChunk:
         cfg = self.config
-        timing_codec = _TimingCodec(self._codec)
-        partitioner = self._make_partitioner(timing_codec)
-
-        t_prec = 0.0
-
         # --- preconditioning: split + frequency analysis + ID mapping ---
         t0 = time.perf_counter()
         raw = raw_matrix(chunk, cfg.word_bytes)
@@ -607,64 +670,81 @@ class PrimacyCompressor:
         id_stream = linearize_ids(
             ids, cfg.high_bytes, cfg.linearization, self.arena
         )
-        t_prec += time.perf_counter() - t0
+        # --- ISOBAR analysis of the low-order matrix (counts as
+        #     preconditioning; the codec time is the coding's) ---
+        analysis = self._make_partitioner(self._codec).analyze(low)
+        prec_seconds = time.perf_counter() - t0
 
-        # --- solver: backend codec over the ID stream ---
-        high_compressed = timing_codec.compress(id_stream)
+        # --- the record up to the streams: flags, count, index ---
+        head = bytearray()
+        head.append(0 if reuse else _CHUNK_FLAG_INLINE_INDEX)
+        head += encode_uvarint(n_values)
+        if reuse:
+            extension = used_index.values[base_index.n_unique :]
+            index = encode_uvarint(extension.size)
+            index += extension.astype(">u4" if cfg.high_bytes > 2 else ">u2").tobytes()
+        else:
+            index = used_index.serialize()
+        head += index
+        checksum = adler32(chunk).to_bytes(4, "big") if cfg.checksum else b""
+        return PreparedChunk(
+            config=cfg,
+            n_values=n_values,
+            reuse=reuse,
+            used_index=used_index,
+            freq=freq,
+            head=bytes(head),
+            index_bytes=len(index),
+            id_stream=id_stream,
+            low=low,
+            analysis=analysis,
+            checksum=checksum,
+            prec_seconds=prec_seconds,
+        )
 
-        # --- ISOBAR on the low-order matrix (analysis time counts as
-        #     preconditioning; codec time is captured by the proxy) ---
-        t0 = time.perf_counter()
-        analysis = partitioner.analyze(low)
-        t_prec += time.perf_counter() - t0
+    def _encode(
+        self, prepared: PreparedChunk
+    ) -> tuple[bytes, PrimacyChunkStats]:
+        cfg = self.config
+        timing_codec = _TimingCodec(self._codec)
+        partitioner = self._make_partitioner(timing_codec)
+        low, analysis = prepared.low, prepared.analysis
+
+        # --- solver: backend codec over the ID stream and ISOBAR's
+        #     compressible columns ---
+        high_compressed = timing_codec.compress(prepared.id_stream)
         low_blob = partitioner.compress_with_analysis(low, analysis)
 
         # --- serialize the chunk record ---
-        record = bytearray()
-        flags = 0 if reuse else _CHUNK_FLAG_INLINE_INDEX
-        record.append(flags)
-        record += encode_uvarint(n_values)
-        if reuse:
-            extension = used_index.values[base_index.n_unique :]
-            record += encode_uvarint(extension.size)
-            width = ">u4" if cfg.high_bytes > 2 else ">u2"
-            record += extension.astype(width).tobytes()
-            index_bytes = len(encode_uvarint(extension.size)) + extension.size * (
-                4 if cfg.high_bytes > 2 else 2
-            )
-        else:
-            blob = used_index.serialize()
-            record += blob
-            index_bytes = len(blob)
+        record = bytearray(prepared.head)
         record += encode_uvarint(len(high_compressed))
         record += high_compressed
         record += encode_uvarint(len(low_blob))
         record += low_blob
-        if cfg.checksum:
-            record += adler32(chunk).to_bytes(4, "big")
+        record += prepared.checksum
 
         if isinstance(analysis, BitplaneAnalysis):
             low_compressible = int(round(low.size * analysis.compressible_fraction))
         else:
-            low_compressible = n_values * int(
+            low_compressible = prepared.n_values * int(
                 analysis.compressible_columns.size
             )
         chunk_stats = PrimacyChunkStats(
-            n_values=n_values,
-            n_unique=used_index.n_unique,
-            index_reused=reuse,
-            index_bytes=index_bytes,
-            high_in=n_values * cfg.high_bytes,
+            n_values=prepared.n_values,
+            n_unique=prepared.used_index.n_unique,
+            index_reused=prepared.reuse,
+            index_bytes=prepared.index_bytes,
+            high_in=prepared.n_values * cfg.high_bytes,
             high_out=len(high_compressed),
             low_in=low.size,
             low_compressible_in=low_compressible,
             low_out=len(low_blob),
-            prec_seconds=t_prec,
+            prec_seconds=prepared.prec_seconds,
             codec_seconds=timing_codec.seconds,
         )
         if _OBS_STATE.enabled:
             _obs_record_chunk(chunk_stats)
-        return bytes(record), chunk_stats, used_index, freq
+        return bytes(record), chunk_stats
 
     def _should_reuse(
         self,

@@ -1,9 +1,9 @@
 """Candidate pipeline configurations and the planner configuration.
 
-A :class:`Candidate` names the three knobs the planner is allowed to
-vary per chunk -- backend codec, high-order split width, and ID-stream
-linearization.  Everything else (chunk size, word width, checksum,
-ISOBAR thresholds) is inherited from the base
+A :class:`Candidate` names the four knobs the planner is allowed to
+vary per chunk -- backend codec, high-order split width, ID-stream
+linearization, and the ``pyzlib`` parse.  Everything else (chunk size,
+word width, checksum, ISOBAR thresholds) is inherited from the base
 :class:`~repro.core.PrimacyConfig`, so every candidate record stays
 decodable from the per-record planned header plus the container/file
 header alone.
@@ -12,14 +12,20 @@ The default candidate set is deliberately small (probe cost is paid per
 chunk per candidate, and a ``pyzlib`` probe costs ~4x a ``pylzo`` probe
 because of its per-record Huffman table construction): the paper's
 default pipeline, the fast dictionary codec under the default and the
-narrow split (the latter wins on smooth exponent streams), and a raw
-passthrough for chunks where no backend earns its compute.
+narrow split (the latter wins on smooth exponent streams), a raw
+passthrough for chunks where no backend earns its compute, and the
+default pipeline with zlib's run-length parse (``Z_RLE``), which codes
+the runs of column-linearized streams at a fraction of the hash-chain
+parse's time.  That last one is tried on the whole chunk; its record is
+kept when it wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.compressors.base import Codec, get_codec
+from repro.compressors.deflate import STRATEGIES
 from repro.core.idmap import IndexReusePolicy
 from repro.core.linearize import Linearization
 from repro.core.primacy import PrimacyConfig
@@ -41,17 +47,49 @@ _PROBE_MAX = 16 * 1024
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the planner's candidate space."""
+    """One point of the planner's candidate space.
+
+    ``strategy`` is the ``pyzlib`` parse (:data:`repro.compressors.
+    deflate.STRATEGIES`).  The planned record does not store it: one
+    decoder reads both parses.  A ``"rle"`` candidate is scored on the
+    whole chunk, not on a probe (see :attr:`whole_chunk`).
+    """
 
     codec: str = "pyzlib"
     high_bytes: int = 2
     linearization: Linearization = Linearization.COLUMN
+    strategy: str = "default"
+
+    def __post_init__(self) -> None:
+        if self.strategy != "default" and self.codec != "pyzlib":
+            raise ValueError("only pyzlib candidates take a parse strategy")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}")
 
     @property
     def label(self) -> str:
         """Short human-readable name (obs labels, CLI summaries)."""
         lin = "col" if self.linearization is Linearization.COLUMN else "row"
-        return f"{self.codec}/hb{self.high_bytes}/{lin}"
+        codec = self.codec
+        if self.strategy != "default":
+            codec += f"-{self.strategy}"
+        return f"{codec}/hb{self.high_bytes}/{lin}"
+
+    @property
+    def whole_chunk(self) -> bool:
+        """Whether the planner scores this candidate on the whole chunk.
+
+        A run parse finds runs only where they are, so a prefix misjudges
+        it: a 2 KiB probe projects ``num_plasma``'s 2.92 whole-chunk
+        ratio at 2.73 and ``obs_temp``'s 1.21 at 1.36.
+        """
+        return self.strategy == "rle"
+
+    def backend(self) -> Codec:
+        """The codec instance that compresses this candidate's streams."""
+        if self.strategy == "default":
+            return get_codec(self.codec)
+        return get_codec(self.codec, strategy=self.strategy)
 
     def config(self, base: PrimacyConfig) -> PrimacyConfig:
         """Full pipeline configuration: this candidate over ``base``.
@@ -77,6 +115,7 @@ DEFAULT_CANDIDATES: tuple[Candidate, ...] = (
     Candidate(codec="pylzo", high_bytes=2),
     Candidate(codec="pylzo", high_bytes=1),
     Candidate(codec="null", high_bytes=2),
+    Candidate(codec="pyzlib", high_bytes=2, strategy="rle"),
 )
 
 

@@ -36,6 +36,10 @@ depend on probe bytes alone:
   counts (:class:`repro.compressors.lz77.ParseStats`) through the
   committed linear model :data:`PYZLIB_PARSE_NS` -- a pure function of
   the probed bytes, which keeps planned archives bit-reproducible.
+* The ``pyzlib`` run parse (zlib's ``Z_RLE``) has no hash-chain search
+  to count; its whole-pipeline time is the committed rate
+  :data:`PYZLIB_RLE_NS` per chunk byte.  It is tried on the whole chunk,
+  so its ratio is measured, not projected.
 * Every other codec uses the committed stage rates
   (:data:`STATIC_CODEC_MBPS` over the codec's input bytes,
   :data:`STATIC_PRECONDITIONER_MBPS` over chunk bytes).
@@ -56,6 +60,7 @@ from repro.planner.candidates import Candidate, PlannerConfig
 
 __all__ = [
     "PYZLIB_PARSE_NS",
+    "PYZLIB_RLE_NS",
     "STATIC_CODEC_FIXED_OUT",
     "STATIC_CODEC_MBPS",
     "STATIC_PRECONDITIONER_MBPS",
@@ -106,11 +111,16 @@ STATIC_CODEC_FIXED_OUT: dict[str, float] = {
 #:
 #: Least-squares fit of whole-chunk compress times across the synthetic
 #: corpus (see ``benchmarks/calibrate_planner.py`` to refit).
-PYZLIB_PARSE_NS: tuple[float, float, float, float] = (421.0, 702.0, -34.5, 1.3)
+PYZLIB_PARSE_NS: tuple[float, float, float, float] = (144.1, 392.5, 88.4, -17.6)
 
 #: Floor for the parse-model prediction, ns/byte: no pure-Python deflate
 #: runs faster than this, whatever the counters claim.
 _PYZLIB_MIN_NSB = 30.0
+
+#: Whole-pipeline compress time of the ``pyzlib`` run parse, ns/chunk-byte:
+#: the median over the synthetic corpus that
+#: ``benchmarks/calibrate_planner.py`` prints.
+PYZLIB_RLE_NS: float = 16.3
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,8 @@ def _compute_seconds(
     parse: ParseStats | None,
 ) -> float:
     """Predicted full-chunk compress wall time for one candidate."""
+    if candidate.strategy == "rle":
+        return PYZLIB_RLE_NS * chunk_len * 1e-9
     if candidate.codec == "pyzlib" and parse is not None and parse.input_bytes:
         w_coef, l_coef, m_coef, const = PYZLIB_PARSE_NS
         # Counters are normalized per probed *chunk* byte (matching the

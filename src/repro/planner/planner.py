@@ -10,9 +10,19 @@ running inside the worker, not serialized in the parent.
 Per chunk it compresses a word-aligned prefix under every candidate,
 scores each probe with :func:`repro.planner.cost.score_candidate`, and
 compresses the full chunk under the winner (ties go to the earlier
-candidate, so decisions are deterministic).  When the probe already
-covered the whole chunk, the winning probe record is reused verbatim --
-small chunks pay no double compression.
+candidate, so decisions are deterministic).  A candidate whose
+:attr:`~repro.planner.candidates.Candidate.whole_chunk` is set (the
+``pyzlib`` run parse, whose ratio a prefix cannot show) is tried on the
+whole chunk instead.  Whenever the winner's trial covered the whole
+chunk -- that candidate, or any candidate when the probe is the chunk --
+its record is reused verbatim, and its time counts as the compression,
+not as probe overhead.
+
+Candidates that differ in the codec alone share one preparation of each
+trial (:meth:`~repro.core.PrimacyCompressor.prepare_chunk`: split,
+frequency analysis, ID mapping, ISOBAR analysis, checksum), and the
+final compression codes the whole-chunk preparation when the winner's
+split and linearization match it, so that work is done once per chunk.
 
 With :mod:`repro.obs` enabled each decision lands in a labelled
 ``planner.decisions`` counter (the decision histogram over candidates),
@@ -27,7 +37,11 @@ from dataclasses import dataclass
 
 from repro.compressors.lz77 import collect_parse_stats
 from repro.core.kernels import ScratchArena
-from repro.core.primacy import PrimacyChunkStats, PrimacyCompressor
+from repro.core.primacy import (
+    PreparedChunk,
+    PrimacyChunkStats,
+    PrimacyCompressor,
+)
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.obs.runtime import STATE as _OBS_STATE
@@ -47,8 +61,8 @@ class Decision:
     ratio_est: float  # probe-measured compression ratio of the winner
     tau_est_mbps: float  # model-predicted end-to-end throughput
     probe_bytes: int  # prefix bytes probed per candidate
-    probe_seconds: float  # wall time of the whole candidate sweep
-    compress_seconds: float  # wall time of the winner's full compress
+    probe_seconds: float  # wall time of the sweep, less a kept trial's
+    compress_seconds: float  # wall time of the compression that was kept
     n_candidates: int
 
 
@@ -76,7 +90,9 @@ class ChunkPlanner:
         comp = self._compressors.get(candidate)
         if comp is None:
             comp = PrimacyCompressor(
-                candidate.config(self.config.base), arena=self.arena
+                candidate.config(self.config.base),
+                arena=self.arena,
+                codec=candidate.backend(),
             )
             self._compressors[candidate] = comp
         return comp
@@ -86,21 +102,37 @@ class ChunkPlanner:
     def plan(
         self, chunk: bytes | memoryview
     ) -> tuple[CandidateScore, list[CandidateScore], float, tuple | None]:
-        """Probe every candidate on a prefix of ``chunk``.
+        """Try every candidate on a prefix of ``chunk``, or on all of it.
 
-        Returns ``(winner, all_scores, probe_seconds, reusable)`` where
-        ``reusable`` is the winner's ``(record, stats)`` when the probe
-        covered the whole chunk (no second compression needed).
+        Returns ``(winner, all_scores, probe_seconds, head_start)``.
+        ``head_start`` is what the winner's compression can start from,
+        with the seconds the sweep already spent on it: ``((record,
+        stats), seconds)`` when its trial covered the whole chunk,
+        ``(prepared, seconds)`` when a whole-chunk trial prepared the
+        chunk under the winner's split and linearization (see
+        :meth:`~repro.core.PrimacyCompressor.prepare_chunk`), else
+        ``None``.  ``probe_seconds`` excludes those seconds.
         """
         probe_len = self.config.resolved_probe_bytes(len(chunk))
         prefix = memoryview(chunk)[:probe_len]
-        whole = probe_len == len(chunk)
-        t0 = time.perf_counter()
         scores: list[CandidateScore] = []
-        outputs: list[tuple[bytes, PrimacyChunkStats]] = []
+        kept: list[tuple | None] = []
+        # Candidates that differ in the codec alone share one preparation
+        # of each trial: (trial bytes, split, linearization) -> (prepared,
+        # seconds).
+        prepared: dict[tuple, tuple[PreparedChunk, float]] = {}
+        sweep = 0.0
         for cand in self.config.candidates:
+            comp = self._compressor(cand)
+            trial = chunk if cand.whole_chunk else prefix
+            key = (len(trial), cand.high_bytes, cand.linearization)
+            t0 = time.perf_counter()
+            if key not in prepared:
+                done = comp.prepare_chunk(trial)
+                prepared[key] = (done, time.perf_counter() - t0)
+                t0 = time.perf_counter()
             with collect_parse_stats() as parse:
-                record, stats, _ = self._compressor(cand).compress_chunk(prefix)
+                record, stats = comp.encode_prepared(prepared[key][0])
             scores.append(
                 score_candidate(
                     cand,
@@ -111,33 +143,45 @@ class ChunkPlanner:
                     parse=parse,
                 )
             )
-            if whole:
-                outputs.append((record, stats))
-        probe_seconds = time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            sweep += seconds
+            whole = len(trial) == len(chunk)
+            kept.append(((record, stats), seconds) if whole else None)
+        sweep += sum(seconds for _, seconds in prepared.values())
         best = scores[0]
         best_i = 0
         for i, cs in enumerate(scores[1:], start=1):
             if cs.score > best.score:
                 best, best_i = cs, i
-        reusable = outputs[best_i] if whole else None
-        return best, scores, probe_seconds, reusable
+        winner = best.candidate
+        full = prepared.get((len(chunk), winner.high_bytes, winner.linearization))
+        head_start = kept[best_i]
+        if head_start is not None:
+            # The winner's trial covered the chunk, on the ``full`` preparation.
+            head_start = (head_start[0], head_start[1] + full[1])
+        else:
+            head_start = full
+        if head_start is not None:
+            sweep -= head_start[1]
+        return best, scores, sweep, head_start
 
     def compress_chunk(
         self, chunk: bytes | memoryview
     ) -> tuple[bytes, PrimacyChunkStats, Decision]:
         """Plan and compress one word-aligned chunk into a planned record."""
-        best, scores, probe_seconds, reusable = self.plan(chunk)
+        best, scores, probe_seconds, head_start = self.plan(chunk)
+        comp = self._compressor(best.candidate)
         t0 = time.perf_counter()
-        if reusable is not None:
-            inner, stats = reusable
-            # The winning probe covered the whole chunk; its wall time is
-            # already inside probe_seconds, not a second compression.
-            compress_seconds = 0.0
+        if head_start is None:
+            inner, stats, _ = comp.compress_chunk(chunk)
+            spent = 0.0
         else:
-            inner, stats, _ = self._compressor(best.candidate).compress_chunk(
-                chunk
-            )
-            compress_seconds = time.perf_counter() - t0
+            start, spent = head_start
+            if isinstance(start, PreparedChunk):
+                inner, stats = comp.encode_prepared(start)
+            else:
+                inner, stats = start
+        compress_seconds = spent + time.perf_counter() - t0
         record = encode_planned_record(best.candidate, inner)
         decision = Decision(
             candidate=best.candidate,

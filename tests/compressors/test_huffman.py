@@ -18,6 +18,7 @@ from repro.compressors.huffman import (
     decode_symbol_block,
     encode_symbol_block,
 )
+from repro.util.bitio import pack_bits
 from repro.util.varint import encode_uvarint
 
 
@@ -32,6 +33,32 @@ def reference_codes(lengths: np.ndarray) -> list[int]:
         code += 1
         prev_len = int(lengths[sym])
     return codes
+
+
+def reference_package_merge(
+    freqs: np.ndarray, present: np.ndarray, max_bits: int
+) -> np.ndarray:
+    """The package-merge that builds every package as a symbol-count
+    dict, kept as the oracle of the counting one."""
+    lengths = np.zeros(freqs.size, dtype=np.int64)
+    leaves = sorted(
+        ((int(freqs[s]), {int(s): 1}) for s in present), key=lambda item: item[0]
+    )
+    merged = list(leaves)
+    for _ in range(max_bits - 1):
+        packages = []
+        for i in range(0, len(merged) - 1, 2):
+            w = merged[i][0] + merged[i + 1][0]
+            counts = dict(merged[i][1])
+            for sym, c in merged[i + 1][1].items():
+                counts[sym] = counts.get(sym, 0) + c
+            packages.append((w, counts))
+        merged = sorted(leaves + packages, key=lambda item: item[0])
+    take = 2 * present.size - 2
+    for _, counts in merged[:take]:
+        for sym, c in counts.items():
+            lengths[sym] += c
+    return lengths
 
 
 def reference_decode(
@@ -145,6 +172,40 @@ class TestCodeLengths:
         assert np.all((lengths > 0) == (freqs > 0)) or (freqs > 0).sum() == 1
 
 
+class TestPackageMerge:
+    @given(
+        st.lists(st.integers(0, 2**20), min_size=2, max_size=300),
+        st.integers(1, 4),
+        st.sampled_from([9, 10, 12]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_equals_reference(self, weights, spread, max_bits):
+        # Skewed weights (powers of ``spread`` mixed in) and many ties, so
+        # the length limit binds and equal weights meet across levels.
+        freqs = np.array(
+            [
+                w >> (i % 17) if spread == 1 else spread ** (w % 23)
+                for i, w in enumerate(weights)
+            ],
+            dtype=np.int64,
+        )
+        present = np.flatnonzero(freqs)
+        if present.size < 2 or present.size > 1 << max_bits:
+            return
+        assert np.array_equal(
+            huffman._package_merge(freqs, present, max_bits),
+            reference_package_merge(freqs, present, max_bits),
+        )
+
+    def test_limited_lengths_of_a_skewed_stream(self):
+        freqs = np.array([2**i for i in range(40)] + [1] * 200, dtype=np.int64)
+        present = np.flatnonzero(freqs)
+        assert np.array_equal(
+            huffman._package_merge(freqs, present, MAX_BITS),
+            reference_package_merge(freqs, present, MAX_BITS),
+        )
+
+
 class TestCanonicalCodes:
     def test_prefix_free(self):
         freqs = np.random.default_rng(2).integers(1, 100, 40)
@@ -181,6 +242,31 @@ class TestHuffmanTableRoundtrip:
         stream, offsets = table.encode(symbols)
         out = table.decode(stream, n, offsets)
         assert np.array_equal(out, symbols)
+
+    @given(
+        st.lists(st.integers(0, 9), min_size=1, max_size=300),
+        st.integers(1, 40),
+        st.sampled_from([1, 2, 4, 8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slabs_encode_like_one_pass(self, symbols, slab, sync):
+        # Each slab holds whole sync blocks; the joined stream and offsets
+        # are those of one gather, one cumsum and one pack over all symbols.
+        symbols = np.array(symbols)
+        table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=10))
+        sym_lengths = table.lengths[symbols]
+        starts = np.cumsum(sym_lengths) - sym_lengths
+        expect = pack_bits(table.codes[symbols], sym_lengths), starts[::sync]
+        original = huffman._SLAB
+        huffman._SLAB = slab
+        try:
+            stream, offsets = table.encode(symbols, sync)
+            block = encode_symbol_block(symbols, 10)
+        finally:
+            huffman._SLAB = original
+        assert stream == expect[0]
+        assert np.array_equal(offsets, expect[1])
+        assert block == encode_symbol_block(symbols, 10)
 
     def test_serialize_roundtrip(self):
         freqs = np.bincount(np.arange(50) % 7, minlength=256)

@@ -373,7 +373,62 @@ class TestTokenize:
         assert reassemble(stream) == data
 
 
+def reference_reassemble(stream: TokenStream) -> bytes:
+    """The match-by-match expansion, kept as the oracle of the one-pass
+    expansion of distance-1 streams."""
+    stream.validate()
+    out = bytearray()
+    lp = 0
+    for run, length, dist in zip(
+        stream.lit_runs.tolist(),
+        stream.match_lens.tolist(),
+        stream.match_dists.tolist(),
+    ):
+        out += stream.literals[lp : lp + run]
+        lp += run
+        if dist > len(out):
+            raise CodecError("match distance reaches before buffer start")
+        for _ in range(length):
+            out.append(out[-dist])
+    out += stream.literals[lp:]
+    return bytes(out)
+
+
+#: Distance-1 token streams: (literal run, match length) pairs, the first
+#: run possibly 0 (a match with nothing before it), consecutive matches
+#: with no literals between them, and a trailing literal run.
+_RUN_TOKENS = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(MIN_MATCH, MIN_MATCH + 9)),
+        max_size=30,
+    ),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+
+
 class TestReassemble:
+    @given(_RUN_TOKENS)
+    @settings(max_examples=200, deadline=None)
+    def test_property_distance_one_equals_reference(self, tokens):
+        pairs, tail, rng = tokens
+        runs = [run for run, _ in pairs] + [tail]
+        lens = [length for _, length in pairs]
+        stream = TokenStream(
+            lit_runs=np.array(runs, dtype=np.int64),
+            match_lens=np.array(lens, dtype=np.int64),
+            match_dists=np.ones(len(lens), dtype=np.int64),
+            literals=bytes(rng.randrange(4) for _ in range(sum(runs))),
+            original_size=sum(runs) + sum(lens),
+        )
+        try:
+            expect = reference_reassemble(stream)
+        except CodecError:
+            with pytest.raises(CodecError):
+                reassemble(stream)
+        else:
+            assert reassemble(stream) == expect
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -387,7 +442,8 @@ class TestReassemble:
         ],
     )
     def test_roundtrips(self, data):
-        assert reassemble(tokenize(data)) == data
+        stream = tokenize(data)
+        assert reassemble(stream) == reference_reassemble(stream) == data
 
     def test_roundtrip_float_data(self, noisy_doubles):
         assert reassemble(tokenize(noisy_doubles)) == noisy_doubles

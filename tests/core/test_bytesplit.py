@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bytesplit import (
-    byte_matrix_to_values,
-    combine_bytes,
-    split_bytes,
-    values_to_byte_matrix,
-)
+from repro.core.bytesplit import split_bytes, values_to_byte_matrix
+from tests.oracles import byte_matrix_to_values, combine_bytes
 
 
 class TestByteMatrix:

@@ -74,6 +74,30 @@ class TestCompressChunk:
             pc.compress_chunk(b"1234567")
 
 
+class TestPreparedChunks:
+    """prepare_chunk + encode_prepared: compress_chunk in two halves."""
+
+    @pytest.mark.parametrize("codec", ["pyzlib", "pylzo", "null"])
+    def test_halves_make_the_compress_chunk_record(self, chunks, codec):
+        base = PrimacyConfig(chunk_bytes=1 << 20)
+        prepared = PrimacyCompressor(base).prepare_chunk(chunks[0])
+        comp = PrimacyCompressor(PrimacyConfig(codec=codec, chunk_bytes=1 << 20))
+        record, stats = comp.encode_prepared(prepared)
+        expect, expect_stats, _ = comp.compress_chunk(chunks[0])
+        assert record == expect
+        assert stats.total_out == expect_stats.total_out
+        assert comp.decompress_chunk(record)[0] == chunks[0]
+
+    def test_other_configuration_rejected(self, chunks):
+        prepared = PrimacyCompressor(PrimacyConfig()).prepare_chunk(chunks[0])
+        with pytest.raises(ValueError):
+            PrimacyCompressor(PrimacyConfig(high_bytes=1)).encode_prepared(prepared)
+
+    def test_unaligned_chunk_rejected(self):
+        with pytest.raises(ValueError):
+            PrimacyCompressor().prepare_chunk(b"\x00" * 12)
+
+
 class TestIndexSectionParser:
     def test_inline_section(self, chunks):
         pc = PrimacyCompressor(PrimacyConfig(chunk_bytes=1 << 20))

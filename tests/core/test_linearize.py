@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.linearize import (
-    Linearization,
-    column_linearize,
-    delinearize,
-    row_linearize,
-)
+from repro.core.linearize import Linearization, column_linearize, row_linearize
+from tests.oracles import delinearize
 
 
 @pytest.fixture

@@ -10,8 +10,11 @@ Everything here is deterministic: fixed seeds, fixed configs, pure-
 Python codecs.  The CORRELATED index policy is chosen to pin the
 trickiest decode path (index-reuse chains with extensions).  The planned
 container pins planned records (flag 0x02) and the ``pylzo`` stream
-bytes: its static-calibration planner sends chunks to ``pyzlib/hb2``,
-``pylzo/hb1`` and ``pylzo/hb2``.
+bytes: its static-calibration planner sends chunks to ``pyzlib/hb2``
+under both parses (the default and zlib's ``Z_RLE``), ``pylzo/hb1`` and
+``pylzo/hb2``.  On the six perfbench chunks the two ``pyzlib`` parses
+win every time, so two more chunks repeat a short block of values
+(a periodic field), where ``pylzo`` wins at each split width.
 """
 
 from __future__ import annotations
@@ -47,14 +50,18 @@ PLANNED_DATASETS = (
     "flash_velx",
     "msg_bt",
 )
+#: Two periodic chunks after those: (dataset, values in the repeated block).
+PLANNED_TILES = (("obs_temp", 96), ("flash_velx", 64))
 #: The planner's per-chunk decisions, in chunk order.
 PLANNED_LABELS = (
     "pyzlib/hb2/col",
-    "pylzo/hb1/col",
-    "pylzo/hb1/col",
+    "pyzlib-rle/hb2/col",
+    "pyzlib-rle/hb2/col",
     "pyzlib/hb2/col",
+    "pyzlib/hb2/col",
+    "pyzlib/hb2/col",
+    "pylzo/hb1/col",
     "pylzo/hb2/col",
-    "pyzlib/hb2/col",
 )
 
 
@@ -78,13 +85,15 @@ def checkpoint_arrays() -> dict[int, dict[str, np.ndarray]]:
 
 
 def planned_payload_bytes() -> bytes:
-    """Six 8 KiB float64 chunks, one per dataset."""
+    """Eight 8 KiB float64 chunks: one per dataset, then the tiles."""
     from repro.datasets import generate_bytes
 
-    return b"".join(
-        generate_bytes(name, PLANNED_CONFIG.chunk_bytes // 8, seed=SEED)
-        for name in PLANNED_DATASETS
-    )
+    size = PLANNED_CONFIG.chunk_bytes
+    chunks = [generate_bytes(name, size // 8, seed=SEED) for name in PLANNED_DATASETS]
+    for name, values in PLANNED_TILES:
+        block = generate_bytes(name, values, seed=SEED)
+        chunks.append((block * (size // len(block) + 1))[:size])
+    return b"".join(chunks)
 
 
 def build_planned(payload: bytes) -> tuple[bytes, list[str]]:

@@ -9,7 +9,10 @@ check the product against it and the gated benches can time it as the
   :func:`reference_id_stream` (the compress stage) and
   :func:`reference_decode_chunk` (the record decode) -- against the
   fused kernels of :mod:`repro.core.kernels`
-  (``tests/core/test_kernels.py``, ``benchmarks/bench_kernels.py``);
+  (``tests/core/test_kernels.py``, ``benchmarks/bench_kernels.py``),
+  with the matrix path's decode steps, which nothing in ``src/`` calls
+  any more: :func:`delinearize`, :func:`invert_ids`,
+  :func:`combine_bytes` and :func:`byte_matrix_to_values`;
 * the scalar BWT-stack loops -- :func:`reference_mtf_encode`,
   :func:`reference_mtf_decode`, :func:`reference_rle0_encode`,
   :func:`reference_rle0_decode` and :func:`reference_bwt_inverse` --
@@ -30,14 +33,9 @@ from repro.compressors.base import (
     TruncationError,
     get_codec,
 )
-from repro.core.bytesplit import (
-    byte_matrix_to_values,
-    combine_bytes,
-    split_bytes,
-    values_to_byte_matrix,
-)
+from repro.core.bytesplit import split_bytes, values_to_byte_matrix
 from repro.core.idmap import FrequencyIndex, IdMapper
-from repro.core.linearize import Linearization, delinearize
+from repro.core.linearize import Linearization
 from repro.core.primacy import _CHUNK_FLAG_INLINE_INDEX, PrimacyConfig
 from repro.isobar import IsobarPartitioner
 from repro.isobar.bitplane import BitplanePartitioner
@@ -48,6 +46,10 @@ __all__ = [
     "reference_apply",
     "reference_id_stream",
     "reference_decode_chunk",
+    "delinearize",
+    "invert_ids",
+    "combine_bytes",
+    "byte_matrix_to_values",
     "reference_mtf_encode",
     "reference_mtf_decode",
     "reference_rle0_encode",
@@ -63,6 +65,55 @@ _SYM_SHIFT = 2
 # --------------------------------------------------------------------- #
 # chunk pipeline                                                         #
 # --------------------------------------------------------------------- #
+
+
+def delinearize(
+    data: bytes, n_rows: int, n_cols: int, order: Linearization
+) -> np.ndarray:
+    """Invert ``column_linearize`` / ``row_linearize``."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size != n_rows * n_cols:
+        raise ValueError("linearized buffer does not match matrix shape")
+    if order is Linearization.COLUMN:
+        return buf.reshape(n_cols, n_rows).T.copy()
+    return buf.reshape(n_rows, n_cols).copy()
+
+
+def invert_ids(
+    id_matrix: np.ndarray, index: FrequencyIndex, seq_bytes: int
+) -> np.ndarray:
+    """Map an ``N x seq_bytes`` ID matrix back to the high byte matrix."""
+    id_matrix = np.asarray(id_matrix)
+    if id_matrix.ndim != 2 or id_matrix.shape[1] != seq_bytes:
+        raise ValueError("ID matrix width does not match seq_bytes")
+    ids = np.zeros(id_matrix.shape[0], dtype=np.int64)
+    for col in range(seq_bytes):
+        ids = (ids << 8) | id_matrix[:, col].astype(np.int64)
+    if ids.size and int(ids.max()) >= index.n_unique:
+        raise CodecError("ID out of index range")
+    seqs = index.values[ids]
+    high = np.empty((ids.size, seq_bytes), dtype=np.uint8)
+    for col in range(seq_bytes):
+        shift = np.uint32(8 * (seq_bytes - 1 - col))
+        high[:, col] = ((seqs >> shift) & np.uint32(0xFF)).astype(np.uint8)
+    return high
+
+
+def combine_bytes(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Invert ``split_bytes``."""
+    high = np.asarray(high)
+    low = np.asarray(low)
+    if high.shape[0] != low.shape[0]:
+        raise ValueError("row count mismatch")
+    return np.hstack([high, low])
+
+
+def byte_matrix_to_values(matrix: np.ndarray) -> bytes:
+    """Invert ``values_to_byte_matrix``: back to little-endian raw bytes."""
+    matrix = np.asarray(matrix)
+    if matrix.dtype != np.uint8 or matrix.ndim != 2:
+        raise ValueError("expected an N x word_bytes uint8 matrix")
+    return np.ascontiguousarray(matrix[:, ::-1]).tobytes()
 
 
 def reference_apply(seqs, index):
@@ -136,7 +187,6 @@ def reference_decode_chunk(
     linearization = config.linearization
     use_checksum = config.checksum
     codec = get_codec(config.codec)
-    mapper = IdMapper(seq_bytes=high_bytes)
     partitioner = (
         BitplanePartitioner(codec)
         if config.isobar_granularity == "bit"
@@ -183,7 +233,7 @@ def reference_decode_chunk(
 
     id_stream = codec.decompress(high_compressed)
     id_matrix = delinearize(id_stream, n_values, high_bytes, linearization)
-    high = mapper.invert(id_matrix, index)
+    high = invert_ids(id_matrix, index, high_bytes)
     low = partitioner.decompress(low_blob)
     if low.shape != (n_values, word_bytes - high_bytes):
         raise CorruptionError("low-order matrix shape mismatch")

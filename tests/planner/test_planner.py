@@ -81,14 +81,29 @@ class TestPlanning:
         assert scores[0].score == scores[1].score
         assert best is scores[0]
 
-    def test_whole_chunk_probe_reuses_record(self, smooth_bytes, planner_config):
-        # A chunk no larger than the probe is compressed exactly once.
+    def test_whole_chunk_probe_reuses_record(
+        self, smooth_bytes, planner_config, monkeypatch
+    ):
+        # A chunk no larger than the probe is coded once per candidate:
+        # the winner's trial record is kept, and its time is the
+        # compression's, not probe overhead.
+        from repro.core.primacy import PrimacyCompressor
+
+        calls = []
+        encode = PrimacyCompressor._encode
+
+        def counted(self, prepared):
+            calls.append(prepared.n_values)
+            return encode(self, prepared)
+
+        monkeypatch.setattr(PrimacyCompressor, "_encode", counted)
         small = smooth_bytes[:2048]
         record, stats, decision = ChunkPlanner(planner_config).compress_chunk(
             small
         )
         assert decision.probe_bytes == len(small)
-        assert decision.compress_seconds == 0.0
+        assert calls == [len(small) // 8] * len(planner_config.candidates)
+        assert decision.compress_seconds > 0.0
         assert record  # still a valid planned record
 
     def test_decision_fields(self, mixed_bytes, planner_config):
@@ -198,3 +213,103 @@ class TestCostModel:
         assert one.score == two.score
         assert one.ratio == two.ratio
         assert one.tau_mbps == two.tau_mbps
+
+
+class TestRunParseCandidate:
+    """The ``pyzlib`` run parse: scored on the whole chunk, record kept."""
+
+    RLE = Candidate(codec="pyzlib", high_bytes=2, strategy="rle")
+
+    def test_label_and_validation(self):
+        assert self.RLE.label == "pyzlib-rle/hb2/col"
+        assert self.RLE.whole_chunk
+        assert not Candidate(codec="pyzlib").whole_chunk
+        assert self.RLE in PlannerConfig().candidates
+        with pytest.raises(ValueError):
+            Candidate(codec="pylzo", strategy="rle")
+        with pytest.raises(ValueError):
+            Candidate(codec="pyzlib", strategy="filtered")
+
+    def test_backend_is_the_run_parse(self):
+        assert self.RLE.backend().strategy == "rle"
+        assert Candidate(codec="pyzlib").backend().strategy == "default"
+
+    def test_scored_on_the_whole_chunk(self, smooth_bytes):
+        chunk = smooth_bytes[: 64 * 1024]
+        cfg = PlannerConfig(base=PrimacyConfig(chunk_bytes=len(chunk)))
+        planner = ChunkPlanner(cfg)
+        _, scores, _, _ = planner.plan(chunk)
+        (score,) = [s for s in scores if s.candidate == self.RLE]
+        record, _, _ = planner._compressor(self.RLE).compress_chunk(chunk)
+        # Measured, not projected: the ratio is the whole record's, less
+        # the planned header.
+        assert score.probe_out == len(record)
+        assert score.ratio == pytest.approx(len(chunk) / len(record))
+
+    def test_final_compression_reuses_the_trial_preparation(self, monkeypatch):
+        # gts_phi_l goes to the default parse; its final compression codes
+        # the preparation the run-parse trial made, so the chunk is
+        # prepared once per (trial, split, linearization): the hb2 prefix,
+        # the hb1 prefix and the whole chunk.
+        from repro.core.primacy import PrimacyCompressor
+        from repro.datasets import generate_bytes
+
+        prepares = []
+        prepare = PrimacyCompressor._prepare
+
+        def counted(self, chunk, prev_index, prev_freq):
+            prepares.append(len(chunk))
+            return prepare(self, chunk, prev_index, prev_freq)
+
+        chunk = generate_bytes("gts_phi_l", 8192, seed=2214)
+        cfg = PlannerConfig(base=PrimacyConfig(chunk_bytes=len(chunk)))
+        monkeypatch.setattr(PrimacyCompressor, "_prepare", counted)
+        record, _, decision = ChunkPlanner(cfg).compress_chunk(chunk)
+        monkeypatch.undo()
+        assert decision.candidate == Candidate(codec="pyzlib", high_bytes=2)
+        assert sorted(prepares) == [2048, 2048, len(chunk)]
+        plain, _, _ = PrimacyCompressor(
+            decision.candidate.config(cfg.base)
+        ).compress_chunk(chunk)
+        assert record.endswith(plain)
+        assert decision.compress_seconds > 0.0
+
+    @staticmethod
+    def _num_plasma(chunks: int) -> bytes:
+        from repro.datasets import generate_bytes
+
+        return generate_bytes("num_plasma", chunks * 8192, seed=2214)
+
+    def test_num_plasma_picks_the_run_parse(self):
+        chunk = self._num_plasma(1)
+        cfg = PlannerConfig(base=PrimacyConfig(chunk_bytes=len(chunk)))
+        from repro.planner.record import parse_planned_header
+
+        record, stats, decision = ChunkPlanner(cfg).compress_chunk(chunk)
+        assert decision.candidate == self.RLE
+        # The planned header names plain pyzlib; the kept trial record
+        # follows it, and the decision's ratio is that record's.
+        codec, _, _, inner = parse_planned_header(record)
+        assert codec == "pyzlib"
+        assert decision.ratio_est == pytest.approx(len(chunk) / (len(record) - inner))
+        assert stats.total_in == len(chunk)
+
+    def test_same_decisions_and_records_across_worker_counts(self):
+        from repro.planner import PlannedCompressor
+
+        data = self._num_plasma(3)
+        cfg = PlannerConfig(base=PrimacyConfig(chunk_bytes=64 * 1024))
+        with PlannedCompressor(cfg, workers=1) as serial:
+            expect, _ = serial.compress(data)
+            serial_decisions = serial.last_decisions
+        with PlannedCompressor(cfg, workers=2) as parallel:
+            got, _ = parallel.compress(data)
+            parallel_decisions = parallel.last_decisions
+        assert [d.candidate for d in serial_decisions] == [self.RLE] * 3
+        assert got == expect
+        assert [d.candidate for d in parallel_decisions] == [
+            d.candidate for d in serial_decisions
+        ]
+        assert [d.score for d in parallel_decisions] == [
+            d.score for d in serial_decisions
+        ]

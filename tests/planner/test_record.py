@@ -23,7 +23,7 @@ from repro.planner.record import (
 
 
 def _planned(candidate: Candidate, payload: bytes, base: PrimacyConfig):
-    comp = PrimacyCompressor(candidate.config(base))
+    comp = PrimacyCompressor(candidate.config(base), codec=candidate.backend())
     inner, stats, _ = comp.compress_chunk(payload)
     return encode_planned_record(candidate, inner), stats
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bitio import pack_bits
+from repro.util import bitio
+from repro.util.bitio import BitWriter, pack_bits
 
 
 def reference_pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
@@ -135,6 +136,47 @@ class TestReferenceEquivalence:
         )
         codes = np.array([c for _, c in pairs], dtype=np.uint64)
         assert pack_bits(codes, lengths) == reference_pack_bits(codes, lengths)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 57), st.integers(0, 2**64 - 1)),
+            max_size=100,
+        ),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_slabs_equal_reference(self, pairs, slab):
+        # Tiny slabs: every slab edge falls inside a byte or a word, and
+        # the unfinished byte carries over as the next slab's first code.
+        lengths = np.array([n for n, _ in pairs], dtype=np.int64)
+        codes = np.array([c for _, c in pairs], dtype=np.uint64)
+        original = bitio._SLAB
+        bitio._SLAB = slab
+        try:
+            got = pack_bits(codes, lengths)
+        finally:
+            bitio._SLAB = original
+        assert got == reference_pack_bits(codes, lengths)
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 57), st.integers(0, 2**64 - 1))),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_writer_joins_pieces(self, pieces):
+        writer = BitWriter()
+        for piece in pieces:
+            writer.write(
+                np.array([c for _, c in piece], dtype=np.uint64),
+                np.array([n for n, _ in piece], dtype=np.int64),
+            )
+        pairs = [pair for piece in pieces for pair in piece]
+        lengths = np.array([n for n, _ in pairs], dtype=np.int64)
+        codes = np.array([c for _, c in pairs], dtype=np.uint64)
+        assert writer.bits == int(lengths.sum())
+        assert writer.getvalue() == reference_pack_bits(codes, lengths)
 
     @pytest.mark.parametrize("length", range(58))
     def test_every_length_at_every_bit_offset(self, length):
