@@ -27,7 +27,7 @@ from _common import RESULTS_DIR, Table, dataset_bytes, mbps, time_call
 
 from repro import obs
 from repro.core import PrimacyCompressor, PrimacyConfig
-from repro.parallel import ParallelCompressor, ParallelDecompressor
+from repro.parallel import ParallelCompressor
 
 _CHUNK_BYTES = 16 * 1024
 
@@ -50,7 +50,7 @@ def test_parallel_engine_scaling(once):
                 comp.compress(data)
                 (warm_out, _), t_warm = time_call(comp.compress, data)
                 engine_summary = comp.engine.stats.summary()
-            with ParallelDecompressor(cfg, workers=workers) as dec:
+            with ParallelCompressor(cfg, workers=workers) as dec:
                 restored, t_dec = time_call(dec.decompress, serial_out)
             per_workers.append(
                 {

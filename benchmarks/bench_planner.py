@@ -51,7 +51,8 @@ from repro.benchmark import DEFAULT_THRESHOLD, check_baseline
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
 from repro.datasets import dataset_names, generate_bytes
 from repro.model import StepTimes, tau
-from repro.planner import DEFAULT_CANDIDATES, PlannedCompressor, PlannerConfig
+from repro.parallel import ParallelCompressor
+from repro.planner import DEFAULT_CANDIDATES, PlannerConfig
 from repro.planner.planner import overhead_fraction
 
 SCHEMA_VERSION = 1
@@ -129,7 +130,7 @@ def measure_dataset(
             "score": _score(n, len(blob), seconds, theta_mbps),
         }
 
-    with PlannedCompressor(planner_cfg, workers=1) as auto:
+    with ParallelCompressor(planner=planner_cfg, workers=1) as auto:
         blob = b""
 
         def _auto():
@@ -139,7 +140,7 @@ def measure_dataset(
         _auto()  # warm-up
         first = bytes(blob)
         seconds = _best_seconds(_auto, repeats)
-        decisions = auto.last_decisions
+        decisions = auto.decisions
     if blob != first:
         raise RuntimeError(f"auto archive not reproducible for {name!r}")
     if PrimacyCompressor().decompress(blob) != data:

@@ -4,8 +4,8 @@
 On a real machine the paper's parallelism comes from compute nodes; on
 one host the same structure maps onto cores.  This example compresses a
 large buffer serially and with a worker pool, verifies the outputs are
-byte-identical (chunks are independent under the per-chunk index policy),
-and reports the speedup.
+byte-identical (chunks are independent under the per-chunk index policy)
+and that the pool decompresses them back, and reports the speedup.
 
 Run:  python examples/parallel_insitu.py
 """
@@ -37,13 +37,16 @@ def main() -> None:
           f"CR={serial_stats.compression_ratio:.3f}")
 
     workers = min(os.cpu_count() or 1, 8)
-    pool = ParallelCompressor(cfg, workers=workers)
-    t0 = time.perf_counter()
-    parallel_out, _ = pool.compress(data)
-    t_parallel = time.perf_counter() - t0
-    print(f"parallel: {t_parallel:.2f}s  "
-          f"({len(data) / 1e6 / t_parallel:.2f} MB/s)  "
-          f"with {workers} workers")
+    # The context manager shuts the worker pool and its shared-memory
+    # segments down on exit.
+    with ParallelCompressor(cfg, workers=workers) as pool:
+        t0 = time.perf_counter()
+        parallel_out, _ = pool.compress(data)
+        t_parallel = time.perf_counter() - t0
+        print(f"parallel: {t_parallel:.2f}s  "
+              f"({len(data) / 1e6 / t_parallel:.2f} MB/s)  "
+              f"with {workers} workers")
+        assert pool.decompress(parallel_out) == data, "round trip failed"
 
     assert parallel_out == serial_out, "outputs must be byte-identical"
     print(f"outputs byte-identical; speedup {t_serial / t_parallel:.2f}x")

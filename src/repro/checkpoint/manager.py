@@ -46,6 +46,7 @@ from repro.core.primacy import PrimacyConfig
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 from repro.obs.runtime import STATE as _OBS_STATE
+from repro.storage.format import require_storable
 from repro.storage.reader import PrimacyFileReader
 from repro.storage.writer import PrimacyFileWriter
 from repro.util.checksum import crc32
@@ -203,6 +204,13 @@ class CheckpointWriter:
         durable: bool = True,
     ) -> None:
         self.config = config or PrimacyConfig()
+        require_storable(self.config)
+        if (
+            engine is not None or workers is not None
+        ) and self.config.index_policy is not IndexReusePolicy.PER_CHUNK:
+            raise ValueError(
+                "pipelined checkpoint writes require the PER_CHUNK index policy"
+            )
         self._atomic: AtomicFile | None = None
         if isinstance(target, (str, os.PathLike)):
             if durable:
@@ -214,12 +222,6 @@ class CheckpointWriter:
         else:
             self._fh = target
             self._owns_fh = False
-        if (
-            engine is not None or workers is not None
-        ) and self.config.index_policy is not IndexReusePolicy.PER_CHUNK:
-            raise ValueError(
-                "pipelined checkpoint writes require the PER_CHUNK index policy"
-            )
         self._engine = engine
         self._owns_engine = False
         if engine is None and workers is not None:

@@ -522,29 +522,25 @@ def _print_decisions(decisions) -> None:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     data = args.input.read_bytes()
-    if args.auto:
-        from repro.planner import PlannedCompressor
+    if args.auto or args.workers > 1:
+        from repro.parallel import ParallelCompressor
 
-        workers = args.workers if args.workers > 1 else 1
-        with PlannedCompressor(_planner_config(args), workers=workers) as pc:
-            out, stats = pc.compress(data)
-            decisions = pc.last_decisions
-        args.output.write_bytes(out)
+        with ParallelCompressor(
+            None if args.auto else _make_config(args),
+            workers=args.workers,
+            planner=_planner_config(args) if args.auto else None,
+        ) as compressor:
+            out, stats = compressor.compress(data)
+    else:
+        out, stats = PrimacyCompressor(_make_config(args)).compress(data)
+    args.output.write_bytes(out)
+    if args.auto:
         print(
             f"{len(data)} -> {len(out)} bytes  "
             f"CR={stats.compression_ratio:.3f}  chunks={len(stats.chunks)}"
         )
-        _print_decisions(decisions)
+        _print_decisions(compressor.decisions)
         return EXIT_OK
-    config = _make_config(args)
-    if args.workers > 1:
-        from repro.parallel import ParallelCompressor
-
-        with ParallelCompressor(config, workers=args.workers) as compressor:
-            out, stats = compressor.compress(data)
-    else:
-        out, stats = PrimacyCompressor(config).compress(data)
-    args.output.write_bytes(out)
     print(
         f"{len(data)} -> {len(out)} bytes  "
         f"CR={stats.compression_ratio:.3f}  "
@@ -557,9 +553,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_decompress(args: argparse.Namespace) -> int:
     data = args.input.read_bytes()
     if args.workers > 1:
-        from repro.parallel import ParallelDecompressor
+        from repro.parallel import ParallelCompressor
 
-        with ParallelDecompressor(workers=args.workers) as decompressor:
+        with ParallelCompressor(workers=args.workers) as decompressor:
             out = decompressor.decompress(data)
     else:
         out = PrimacyCompressor().decompress(data)
@@ -1101,13 +1097,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     obs.enable(trace_path=args.trace)
     try:
         if args.workers > 1:
-            from repro.parallel import ParallelCompressor, ParallelDecompressor
+            from repro.parallel import ParallelCompressor
 
             with ParallelCompressor(config, workers=args.workers) as comp:
                 out, _ = comp.compress(data)
-            if not args.skip_decompress:
-                with ParallelDecompressor(workers=args.workers) as dec:
-                    dec.decompress(out)
+                if not args.skip_decompress:
+                    comp.decompress(out)
         else:
             out, _ = PrimacyCompressor(config).compress(data)
             if not args.skip_decompress:

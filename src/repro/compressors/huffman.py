@@ -30,9 +30,12 @@ lane step is then one gather and one add, and a stream takes
 turns the recorded start positions into symbols, and every block's last
 symbol must end inside the stream (so all earlier ones do), or the
 stream is corrupt.  Work is O(stream bits + symbols), done in
-cache-sized slabs, with the interpreter cost amortized over the blocks;
-small streams take the same path.  The offsets are metadata, charged to
-the stream like the paper's :math:`\\delta`.
+cache-sized slabs (the lanes are chased a slab of steps at a time), with
+the interpreter cost amortized over the blocks; small streams take the
+same path.  Beyond the output, the temporaries are 17 bytes per stream
+byte (the stream, its windows and the per-bit length table) plus the
+slabs.  The offsets are metadata, charged to the stream like the
+paper's :math:`\\delta`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ _SYNC_MIN = 64
 # Elements per vectorized encoder or decoder pass: keeps each pass's
 # temporaries in cache and bounds them on large symbol blocks.
 _SLAB = 1 << 15
+# Lane positions per slab of the decoder's chase, half an encoder slab:
+# a slab's gathers from the length table and the windows stay in cache,
+# which decodes the large blocks of a checkpoint faster than whole slabs.
+_CHASE_SLAB = 1 << 14
 
 
 def choose_sync(n_symbols: int) -> int:
@@ -354,8 +361,7 @@ class HuffmanTable:
         dec_sym, pair_len = self._decode_tables()
 
         # Big-endian 32-bit window starting at every byte of the stream.
-        buf = np.zeros(len(stream) + 3, dtype=np.uint8)
-        buf[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
+        buf = b"".join((stream, bytes(3)))
         windows = np.ndarray(
             (len(stream),), dtype=">u4", buffer=buf, strides=(1,)
         ).astype(np.int64)
@@ -373,33 +379,38 @@ class HuffmanTable:
                     (slab >> (31 - MAX_BITS - 2 * j)) & (2 * mask + 1)
                 )
 
-        # Chase every block's lane; row s holds each block's s-th symbol start.
+        # Chase every block's lane a slab of steps at a time; row s of a
+        # slab holds each block's s-th symbol start in it.  The symbols at
+        # those starts are then written block-major.  Rows past the last
+        # block's count are decoded (their positions clipped into the
+        # stream) and trimmed.
         steps = min(sync, n_symbols)
-        pos = np.empty((steps, n_blocks), dtype=np.intp)
+        rows = max(1, _CHASE_SLAB // n_blocks)
+        pos = np.empty((min(rows, steps), n_blocks), dtype=np.intp)
+        out = np.empty((n_blocks, steps), dtype=np.int32)
+        end_row = n_symbols - sync * (n_blocks - 1) - 1
         pos[0] = offsets
-        prev = pos[0]
-        for cur in pos[1:]:
-            np.add(prev, bit_len[prev], out=cur)
-            prev = cur
+        for lo in range(0, steps, rows):
+            part = pos[: min(rows, steps - lo)]
+            if lo:
+                np.add(prev, bit_len[prev], out=part[0])
+            prev = part[0]
+            for cur in part[1:]:
+                np.add(prev, bit_len[prev], out=cur)
+                prev = cur
+            if lo <= end_row < lo + len(part):
+                last_end = int(part[end_row - lo, -1])
+            w = windows.take(part >> 3, mode="clip")
+            w >>= (32 - MAX_BITS) - (part & 7)
+            w &= mask
+            out[:, lo : lo + len(part)] = dec_sym.take(w).T
 
         # Each block's last symbol must end inside the stream; positions
         # only grow along a lane, so that covers every symbol.
-        last = pos[-1].copy()
-        last[-1] = pos[n_symbols - sync * (n_blocks - 1) - 1, -1]
+        last = prev.copy()
+        last[-1] = last_end
         if int(last.max()) >= n_bits or int((last + bit_len[last]).max()) > n_bits:
             raise CorruptionError("Huffman stream exhausted mid-symbol")
-
-        # Symbols at the recorded starts, a slab of rows at a time, written
-        # block-major.  Rows past the last block's count are decoded (their
-        # positions clipped into the stream) and trimmed.
-        out = np.empty((n_blocks, steps), dtype=np.int32)
-        rows = max(1, _SLAB // n_blocks)
-        for lo in range(0, steps, rows):
-            starts = pos[lo : lo + rows]
-            w = windows.take(starts >> 3, mode="clip")
-            w >>= (32 - MAX_BITS) - (starts & 7)
-            w &= mask
-            out[:, lo : lo + rows] = dec_sym.take(w).T
         return out.reshape(-1)[:n_symbols]
 
     # -- (de)serialization of the table itself ---------------------------

@@ -76,8 +76,3 @@ class Chunker:
             for i, off in enumerate(range(0, usable, self.chunk_bytes))
         ]
         return chunks, tail
-
-    def n_chunks(self, n_bytes: int) -> int:
-        """Number of chunks."""
-        usable = n_bytes - (n_bytes % self.word_bytes)
-        return (usable + self.chunk_bytes - 1) // self.chunk_bytes

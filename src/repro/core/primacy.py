@@ -67,9 +67,9 @@ __all__ = [
     "PrimacyCompressor",
     "PrimacyCodec",
     "ContainerHeader",
-    "encode_container_header",
+    "frame_container",
     "parse_container_header",
-    "iter_container_records",
+    "split_container",
 ]
 
 _MAGIC = b"PRIM"
@@ -174,14 +174,27 @@ class ContainerHeader:
             checksum=self.checksum,
         )
 
+    def join(self, chunks) -> bytes:
+        """The decoded ``chunks`` in order plus the tail: the original bytes.
 
-def encode_container_header(
-    config: "PrimacyConfig", data_len: int, tail: bytes, n_chunks: int
+        Raises :class:`CorruptionError` unless they add up to the length
+        the header records.
+        """
+        result = b"".join(chunks) + self.tail
+        if len(result) != self.total_len:
+            raise CorruptionError("container length mismatch")
+        return result
+
+
+def frame_container(
+    config: "PrimacyConfig", data_len: int, tail: bytes, records
 ) -> bytes:
-    """Serialize the PRIM container preamble (magic .. chunk count).
+    """Serialize a PRIM container: the preamble, then each chunk record
+    behind its uvarint length.
 
-    Both :meth:`PrimacyCompressor.compress` and the parallel compressor
-    emit exactly this framing, which is what keeps their outputs
+    Every writer of PRIM containers -- :meth:`PrimacyCompressor.compress`,
+    :class:`repro.parallel.ParallelCompressor` and the serve daemon --
+    frames its records here, which is what keeps their outputs
     byte-identical.
     """
     out = bytearray()
@@ -200,7 +213,10 @@ def encode_container_header(
     out += encode_uvarint(data_len)
     out += encode_uvarint(len(tail))
     out += tail
-    out += encode_uvarint(n_chunks)
+    out += encode_uvarint(len(records))
+    for record in records:
+        out += encode_uvarint(len(record))
+        out += record
     return bytes(out)
 
 
@@ -281,15 +297,23 @@ def parse_container_header(data: bytes | memoryview) -> ContainerHeader:
     )
 
 
-def iter_container_records(data: bytes | memoryview, header: ContainerHeader):
-    """Yield the ``n_chunks`` record slices of a container, in order.
+def split_container(
+    data: bytes | memoryview,
+) -> tuple[ContainerHeader, list[memoryview], bool]:
+    """Invert :func:`frame_container` without decoding any payload.
 
-    The record table is self-delimiting (a varint length prefixes each
-    record), so this scan is cheap and yields zero-copy memoryviews --
-    it is the serial part of parallel decompression.
+    Returns the header, the ``n_chunks`` records as zero-copy
+    memoryviews, and whether every record carries its own index --
+    the condition for decoding the records independently (in any order,
+    on any worker).  Plain records with an inline index and planned
+    records (whose inner record always has one) qualify; index-reuse
+    records and empty ones do not, so their containers take the serial
+    decoder, which raises the typed error for an empty record.
     """
+    header = parse_container_header(data)
     view = memoryview(data) if not isinstance(data, memoryview) else data
     pos = header.records_pos
+    records = []
     for i in range(header.n_chunks):
         record_len, pos = checked_uvarint(
             view, pos, f"record {i} length prefix", region=f"chunk[{i}]"
@@ -302,7 +326,12 @@ def iter_container_records(data: bytes | memoryview, header: ContainerHeader):
                 offset=pos,
             )
         pos += record_len
-        yield record
+        records.append(record)
+    independent = all(
+        len(r) and r[0] & (_CHUNK_FLAG_INLINE_INDEX | _CHUNK_FLAG_PLANNED)
+        for r in records
+    )
+    return header, records, independent
 
 
 @dataclass
@@ -552,21 +581,18 @@ class PrimacyCompressor:
         stats = PrimacyStats(original_bytes=len(data))
         chunks, tail = self._chunker.split(data)
 
-        out = bytearray(
-            encode_container_header(self.config, len(data), tail, len(chunks))
-        )
-
+        records = []
         prev_index: FrequencyIndex | None = None
         prev_freq: np.ndarray | None = None
         for chunk in chunks:
             record, chunk_stats, prev_index, prev_freq = self._compress_chunk(
                 chunk.data, prev_index, prev_freq
             )
-            out += encode_uvarint(len(record))
-            out += record
+            records.append(record)
             stats.add(chunk_stats)
+        out = frame_container(self.config, len(data), tail, records)
         stats.container_bytes = len(out)
-        return bytes(out), stats
+        return out, stats
 
     # -- public chunk-level API (used by repro.storage) -------------------
 
@@ -768,7 +794,7 @@ class PrimacyCompressor:
 
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress` exactly (Codec API)."""
-        header = parse_container_header(data)
+        header, records, _ = split_container(data)
         if header.codec == self.config.codec:
             codec = self._codec
         else:
@@ -792,7 +818,7 @@ class PrimacyCompressor:
         )
         parts: list[bytes] = []
         current_index: FrequencyIndex | None = None
-        for record in iter_container_records(data, header):
+        for record in records:
             chunk_bytes, current_index = self._decompress_chunk(
                 record,
                 partitioner,
@@ -805,10 +831,7 @@ class PrimacyCompressor:
                 self.arena,
             )
             parts.append(chunk_bytes)
-        result = b"".join(parts) + header.tail
-        if len(result) != header.total_len:
-            raise CorruptionError("container length mismatch")
-        return result
+        return header.join(parts)
 
     @staticmethod
     def _decompress_chunk(

@@ -8,23 +8,19 @@ reassembled into a byte-identical container.
 
 * :class:`~repro.parallel.engine.ParallelEngine` -- persistent,
   lazily-started worker pool with zero-copy shared-memory fan-out and
-  per-stage :class:`~repro.parallel.engine.PoolStats`.
+  per-stage :class:`~repro.parallel.engine.PoolStats`.  The pipelined
+  storage and checkpoint writers submit their chunks to it directly.
 * :class:`~repro.parallel.pool.ParallelCompressor` -- drop-in parallel
-  version of :meth:`repro.core.PrimacyCompressor.compress`, plus the
-  ordered streaming :meth:`~repro.parallel.pool.ParallelCompressor.compress_iter`
-  used by the pipelined storage/checkpoint writers.
-* :class:`~repro.parallel.decompress.ParallelDecompressor` -- record-level
-  parallel decoding of PRIM containers.
+  version of :meth:`repro.core.PrimacyCompressor.compress` (static, or
+  planned per chunk with ``planner=``) and of its ``decompress``.
 """
 
-from repro.parallel.decompress import ParallelDecompressor
 from repro.parallel.engine import EngineError, ParallelEngine, PoolStats
 from repro.parallel.pool import ParallelCompressor
 
 __all__ = [
     "EngineError",
     "ParallelCompressor",
-    "ParallelDecompressor",
     "ParallelEngine",
     "PoolStats",
 ]

@@ -1,55 +1,78 @@
-"""Parallel chunk compression on the persistent shared-memory engine.
+"""Parallel container compression and decompression on the shared-memory
+engine.
 
 Chunk records are independent under
 :attr:`repro.core.idmap.IndexReusePolicy.PER_CHUNK` (each chunk carries
 its own inline index), so the compressor can fan chunks out to worker
-processes and concatenate the records in order.  The output is
+processes and frame the records in order.  The output is
 **byte-identical** to the serial :class:`repro.core.PrimacyCompressor`
-container -- decompression needs no parallel-specific code.
+container.  With ``planner=`` each worker runs the per-chunk planner's
+candidate sweep *and* the winning compression locally, and the records
+are planned ones, still byte-identical across worker counts: decisions
+are a pure function of probe byte counts.
+
+Decompression is the same fan-out in reverse: the record table is split
+serially (a cheap varint walk, :func:`repro.core.primacy.split_container`)
+and the records are decoded by the workers, then joined in order.
 
 The heavy lifting lives in :class:`repro.parallel.engine.ParallelEngine`:
-the worker pool persists across ``compress()`` calls, chunk payloads
-travel through recycled shared-memory segments instead of pickles, and
-:meth:`ParallelCompressor.compress_iter` streams records in order as
-they complete so pipelined consumers (``repro.storage``,
-``repro.checkpoint``) can overlap compression with file I/O.
+the worker pool persists across calls and chunk payloads travel through
+recycled shared-memory segments instead of pickles.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.chunking import Chunker
 from repro.core.idmap import IndexReusePolicy
 from repro.core.primacy import (
+    PrimacyCompressor,
     PrimacyConfig,
     PrimacyStats,
-    encode_container_header,
+    frame_container,
+    split_container,
 )
-from repro.parallel.engine import KIND_COMPRESS, ParallelEngine
+from repro.parallel.engine import (
+    KIND_COMPRESS,
+    KIND_DECOMPRESS,
+    KIND_PLAN_COMPRESS,
+    ParallelEngine,
+)
 from repro.util.buffers import as_view
-from repro.util.varint import encode_uvarint
+
+if TYPE_CHECKING:
+    from repro.planner.candidates import PlannerConfig
+    from repro.planner.planner import Decision
 
 __all__ = ["ParallelCompressor"]
 
 
 class ParallelCompressor:
-    """Compress with a persistent pool of worker processes.
+    """Compress and decompress with a persistent pool of worker processes.
 
     Parameters
     ----------
     config:
         Pipeline configuration; must use ``IndexReusePolicy.PER_CHUNK``
         (reuse chains serialize chunks by construction).
+    planner:
+        A :class:`repro.planner.PlannerConfig` instead of ``config``
+        (mutually exclusive, as for the file writers): every chunk is
+        planned and written as a self-describing planned record.
     workers:
         Pool size; defaults to the CPU count.  ``workers=1`` runs inline.
     engine:
-        Share an existing :class:`ParallelEngine` instead of owning one
-        (its config must also be ``PER_CHUNK``); the caller then owns
-        its lifetime.
+        Share an existing :class:`ParallelEngine` instead of owning one;
+        the caller then owns its lifetime.
     max_pending:
         In-flight chunk window for the owned engine.
 
-    The worker pool starts lazily on the first multi-chunk compress and
-    persists until :meth:`close` (also a context manager).
+    The worker pool starts lazily on the first multi-chunk call and
+    persists until :meth:`close` (also a context manager).  With
+    ``planner=``, :attr:`decisions` holds the per-chunk
+    :class:`repro.planner.Decision` list of the latest :meth:`compress`
+    call, in chunk order.
     """
 
     def __init__(
@@ -58,10 +81,18 @@ class ParallelCompressor:
         workers: int | None = None,
         max_pending: int | None = None,
         engine: ParallelEngine | None = None,
+        planner: PlannerConfig | None = None,
     ) -> None:
-        self.config = engine.config if engine is not None and config is None else (
-            config or PrimacyConfig()
-        )
+        if planner is not None and config is not None:
+            raise ValueError("pass config= or planner=, not both")
+        self.planner = planner
+        self.decisions: list[Decision] = []
+        if planner is not None:
+            self.config = planner.base
+        elif config is not None:
+            self.config = config
+        else:
+            self.config = engine.config if engine is not None else PrimacyConfig()
         if self.config.index_policy is not IndexReusePolicy.PER_CHUNK:
             raise ValueError(
                 "parallel compression requires the PER_CHUNK index policy; "
@@ -102,45 +133,55 @@ class ParallelCompressor:
 
     # ------------------------------------------------------------------
 
-    def compress_iter(self, data):
-        """Yield ``(record, PrimacyChunkStats)`` per chunk, in order.
-
-        Chunks are submitted up to the engine's ``max_pending`` window
-        ahead of the consumer; while the consumer handles record *k*,
-        records *k+1..* are compressing in the workers.  Single-chunk
-        inputs run inline (pool start is not worth one task).
-        """
-        chunks, _ = self._chunker.split(data)
-        if len(chunks) <= 1 or self.workers == 1:
-            for chunk in chunks:
-                yield self._engine.run_inline(
-                    KIND_COMPRESS, chunk.data, self.config
-                )
-            return
-        yield from self._engine.map_ordered(
-            KIND_COMPRESS, (c.data for c in chunks), self.config
-        )
-
     def compress(self, data) -> tuple[bytes, PrimacyStats]:
         """Parallel equivalent of :meth:`PrimacyCompressor.compress`.
 
         Accepts ``bytes``/``bytearray``/``memoryview``/NumPy buffers
-        without copying the payload.
+        without copying the payload.  Chunks are submitted up to the
+        engine's ``max_pending`` window ahead of the framing; inputs of
+        one chunk run inline (pool start is not worth one task).
         """
         view = as_view(data)
+        chunks, tail = self._chunker.split(view)
+        if self.planner is not None:
+            kind, task_config = KIND_PLAN_COMPRESS, self.planner
+        else:
+            kind, task_config = KIND_COMPRESS, self.config
+        if len(chunks) <= 1 or self.workers == 1:
+            results = (
+                self._engine.run_inline(kind, c.data, task_config)
+                for c in chunks
+            )
+        else:
+            results = self._engine.map_ordered(
+                kind, (c.data for c in chunks), task_config
+            )
         stats = PrimacyStats(original_bytes=len(view))
-        # The tail and chunk count are cheap to recompute; the actual
-        # chunk fan-out happens in compress_iter over the same split.
-        n_words = len(view) // self.config.word_bytes
-        tail = bytes(view[n_words * self.config.word_bytes :])
-        n_chunks = self._chunker.n_chunks(len(view))
-
-        out = bytearray(
-            encode_container_header(self.config, len(view), tail, n_chunks)
-        )
-        for record, chunk_stats in self.compress_iter(view):
-            out += encode_uvarint(len(record))
-            out += record
+        records, decisions = [], []
+        # (record, stats) per chunk, plus the Decision of a planned one.
+        for record, chunk_stats, *decision in results:
+            records.append(record)
             stats.add(chunk_stats)
+            decisions += decision
+        out = frame_container(self.config, len(view), tail, records)
         stats.container_bytes = len(out)
-        return bytes(out), stats
+        self.decisions = decisions
+        return out, stats
+
+    def decompress(self, data: bytes | memoryview) -> bytes:
+        """Invert :meth:`compress` (static or planned) and
+        :meth:`PrimacyCompressor.compress` exactly.
+
+        The codec, widths and linearization come from the container
+        header, so one instance decodes containers of any configuration.
+        A single record, ``workers=1``, or a record that reuses its
+        predecessor's index (an order-dependent chain) takes the serial
+        decoder.
+        """
+        header, records, independent = split_container(data)
+        container_config = header.to_config(self.config)
+        if len(records) <= 1 or self.workers == 1 or not independent:
+            return PrimacyCompressor(container_config).decompress(data)
+        return header.join(
+            self._engine.map_ordered(KIND_DECOMPRESS, records, container_config)
+        )

@@ -16,10 +16,13 @@ Layout:
 * :mod:`repro.planner.cost` -- the calibrated ratio x throughput score;
 * :mod:`repro.planner.record` -- self-describing planned-record framing;
 * :mod:`repro.planner.planner` -- :class:`ChunkPlanner` (probe, score,
-  pick, compress) and the per-chunk :class:`Decision`;
-* :mod:`repro.planner.compressor` -- :class:`PlannedCompressor`,
-  container assembly with optional :class:`~repro.parallel.engine.
-  ParallelEngine` fan-out (probing runs inside the workers).
+  pick, compress) and the per-chunk :class:`Decision`.
+
+A :class:`PlannerConfig` is a setting of the compressors that frame
+chunks, not a compressor of its own: pass it as ``planner=`` to
+:class:`repro.parallel.ParallelCompressor` (PRIM containers, probing
+inside the workers), :class:`repro.storage.PrimacyFileWriter` or
+:class:`repro.storage.ShardedArchiveWriter`.
 """
 
 from repro.planner.candidates import (
@@ -27,7 +30,6 @@ from repro.planner.candidates import (
     Candidate,
     PlannerConfig,
 )
-from repro.planner.compressor import PlannedCompressor
 from repro.planner.planner import ChunkPlanner, Decision, overhead_fraction
 
 __all__ = [
@@ -36,6 +38,5 @@ __all__ = [
     "DEFAULT_CANDIDATES",
     "ChunkPlanner",
     "Decision",
-    "PlannedCompressor",
     "overhead_fraction",
 ]

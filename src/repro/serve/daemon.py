@@ -10,13 +10,13 @@ into chunk-sized work units and fanned through a single shared
 blocks on compression.
 
 Responses are **byte-identical** to the one-shot CLI: ``compress``
-reassembles exactly the container ``PrimacyCompressor.compress`` /
-``ParallelCompressor.compress`` would produce (same header, same
-uvarint record framing), ``FLAG_AUTO`` reproduces ``primacy compress
---auto`` through per-chunk ``KIND_PLAN_COMPRESS`` tasks, and
-``decompress`` mirrors :class:`~repro.parallel.decompress.
-ParallelDecompressor` including its serial fallback for index-reuse
-chains.
+frames its records with :func:`repro.core.primacy.frame_container`, as
+``PrimacyCompressor.compress`` and ``ParallelCompressor.compress`` do,
+``FLAG_AUTO`` reproduces ``primacy compress --auto`` through per-chunk
+``KIND_PLAN_COMPRESS`` tasks, and ``decompress`` splits the container
+with :func:`repro.core.primacy.split_container`, as
+``ParallelCompressor.decompress`` does, including its serial fallback
+for index-reuse chains.
 
 Admission control is all up-front and typed: payload cap
 (``BAD_REQUEST``), in-flight byte/request ceilings (``BUSY``),
@@ -53,12 +53,10 @@ from repro.compressors.base import (
 from repro.core.chunking import Chunker
 from repro.core.idmap import IndexReusePolicy
 from repro.core.primacy import (
-    _CHUNK_FLAG_INLINE_INDEX,
     PrimacyCompressor,
     PrimacyConfig,
-    encode_container_header,
-    iter_container_records,
-    parse_container_header,
+    frame_container,
+    split_container,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import (
@@ -81,7 +79,6 @@ from repro.serve.protocol import (
     request_assembler,
 )
 from repro.serve.quota import TenantQuotas
-from repro.util.varint import encode_uvarint
 
 __all__ = ["ServeConfig", "PrimacyServer", "serve"]
 
@@ -491,29 +488,21 @@ class PrimacyServer:
         chunks, tail = Chunker(base.chunk_bytes, base.word_bytes).split(
             payload
         )
-        out = bytearray(
-            encode_container_header(base, len(payload), tail, len(chunks))
-        )
         futures = [
             self.bridge.submit(kind, chunk.data, task_config)
             for chunk in chunks
         ]
         results = await asyncio.gather(*futures)
-        for result in results:
-            record = result[0]  # (record, stats[, decision])
-            out += encode_uvarint(len(record))
-            out += record
         self.metrics.counter("serve.chunks", kind=kind).inc(len(chunks))
-        return bytes(out)
+        # Each result is (record, stats[, decision]).
+        return frame_container(
+            base, len(payload), tail, [result[0] for result in results]
+        )
 
     async def _decompress(self, request: Request) -> bytes:
         data = request.payload
-        header = parse_container_header(data)
+        header, records, independent = split_container(data)
         container_config = header.to_config(self.config.base)
-        records = list(iter_container_records(data, header))
-        independent = all(
-            r[0] & _CHUNK_FLAG_INLINE_INDEX for r in records
-        )
         if len(records) <= 1 or not independent:
             # Index-reuse chains are order-dependent; the serial decoder
             # is the only correct path (run off-loop, it is CPU work).
@@ -524,10 +513,7 @@ class PrimacyServer:
             self.bridge.submit(KIND_DECOMPRESS, record, container_config)
             for record in records
         ]
-        parts = await asyncio.gather(*futures)
-        result = b"".join(parts) + header.tail
-        if len(result) != header.total_len:
-            raise CodecError("container length mismatch")
+        result = header.join(await asyncio.gather(*futures))
         self.metrics.counter("serve.chunks", kind=KIND_DECOMPRESS).inc(
             len(records)
         )

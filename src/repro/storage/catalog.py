@@ -62,6 +62,7 @@ from repro.storage.format import (
     encode_footer,
     encode_header,
     encode_trailer,
+    require_storable,
 )
 from repro.storage.writer import PrimacyFileWriter
 from repro.util.checksum import crc32
@@ -512,6 +513,7 @@ class ShardedArchiveWriter:
         self.config = planner.base if planner is not None else (
             config or PrimacyConfig()
         )
+        require_storable(self.config)
         if self.config.index_policy is not IndexReusePolicy.PER_CHUNK:
             raise ValueError(
                 "sharded archives require the PER_CHUNK index policy; "

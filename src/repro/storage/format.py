@@ -29,6 +29,7 @@ __all__ = [
     "ChunkEntry",
     "FileInfo",
     "checked_bytes",
+    "require_storable",
     "encode_header",
     "decode_header",
     "encode_footer",
@@ -90,6 +91,21 @@ class FileInfo:
     def n_values(self) -> int:
         """Number of values covered."""
         return sum(c.n_values for c in self.chunks)
+
+
+def require_storable(config: PrimacyConfig) -> None:
+    """Raise ``ValueError`` for a config that a PRIF header cannot describe.
+
+    The header has no ISOBAR-granularity flag, so bit-plane records would
+    be read back as byte columns and fail.  PRCK segments and PRAC shards
+    embed this header, so every file writer calls this before it creates
+    any file.
+    """
+    if config.isobar_granularity != "byte":
+        raise ValueError(
+            "PRIF headers cannot record isobar_granularity='bit' (files "
+            "would not read back); use a PRIM container for bit planes"
+        )
 
 
 def encode_header(config: PrimacyConfig, planned: bool = False) -> bytes:

@@ -40,6 +40,7 @@ from repro.storage.format import (
     encode_footer,
     encode_header,
     encode_trailer,
+    require_storable,
 )
 from repro.util.durable import AtomicFile
 from repro.util.varint import encode_uvarint
@@ -97,6 +98,14 @@ class PrimacyFileWriter:
             self.config = planner.base
         else:
             self.config = config or PrimacyConfig()
+        require_storable(self.config)
+        if (
+            engine is not None or workers is not None
+        ) and self.config.index_policy is not IndexReusePolicy.PER_CHUNK:
+            raise ValueError(
+                "pipelined writes require the PER_CHUNK index policy; "
+                "reuse chains make chunk records order-dependent"
+            )
         self._atomic: AtomicFile | None = None
         if isinstance(target, (str, os.PathLike)):
             if durable:
@@ -110,19 +119,13 @@ class PrimacyFileWriter:
             self._owns_fh = False
         self._engine = None
         self._owns_engine = False
-        if engine is not None or workers is not None:
-            if self.config.index_policy is not IndexReusePolicy.PER_CHUNK:
-                raise ValueError(
-                    "pipelined writes require the PER_CHUNK index policy; "
-                    "reuse chains make chunk records order-dependent"
-                )
-            if engine is not None:
-                self._engine = engine
-            else:
-                from repro.parallel.engine import ParallelEngine
+        if engine is not None:
+            self._engine = engine
+        elif workers is not None:
+            from repro.parallel.engine import ParallelEngine
 
-                self._engine = ParallelEngine(self.config, workers=workers)
-                self._owns_engine = True
+            self._engine = ParallelEngine(self.config, workers=workers)
+            self._owns_engine = True
         self._inflight: deque[int] = deque()
         # Persistent for the writer's lifetime, so its ScratchArena is
         # reused across every chunk written through the serial path.

@@ -9,7 +9,7 @@ import pytest
 
 from repro.compressors import CodecError
 from repro.checkpoint import CheckpointReader, CheckpointWriter
-from repro.core import PrimacyConfig
+from repro.core import IndexReusePolicy, PrimacyConfig
 
 
 @pytest.fixture
@@ -88,6 +88,21 @@ class TestWriterReader:
             w.write_variable(0, "ids", arr)
         reader = CheckpointReader(io.BytesIO(buf.getvalue()))
         assert np.array_equal(reader.read(0, "ids"), arr)
+
+    @pytest.mark.parametrize(
+        "config, workers, match",
+        [
+            # Each segment embeds a PRIF header, which cannot record
+            # bit-plane ISOBAR: refused before the first variable.
+            (PrimacyConfig(isobar_granularity="bit"), None, "isobar_granularity"),
+            (PrimacyConfig(index_policy=IndexReusePolicy.FIRST_CHUNK), 2, "PER_CHUNK"),
+        ],
+        ids=["bit-isobar", "pipelined-reuse-chain"],
+    )
+    def test_refused_before_any_file(self, tmp_path, config, workers, match):
+        with pytest.raises(ValueError, match=match):
+            CheckpointWriter(tmp_path / "ckpt.prck", config, workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_numeric_rejected(self):
         with CheckpointWriter(io.BytesIO()) as w:

@@ -367,26 +367,74 @@ class TestDecoderMatchesReference:
         coded_streams(),
         st.lists(st.integers(0, 2**31), max_size=4),
         st.integers(0, 3),
+        st.sampled_from([huffman._CHASE_SLAB, 1, 5, 64]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_property_equal_or_both_raise(self, case, flips, cut):
+    def test_property_equal_or_both_raise(self, case, flips, cut, slab):
+        # Small chase slabs make the decoder chase the lanes in many
+        # slabs of steps, as it does on large blocks.
         lengths, symbols, sync, stream, offsets = case
         damaged = bytearray(stream)
         for bit in flips:
             bit %= 8 * len(damaged)
             damaged[bit >> 3] ^= 0x80 >> (bit & 7)
         damaged = bytes(damaged[: len(damaged) - cut])
+        original = huffman._CHASE_SLAB
+        huffman._CHASE_SLAB = slab
         try:
             expected = reference_decode(lengths, damaged, symbols.size, offsets, sync)
         except CodecError:
             with pytest.raises(CodecError):
                 HuffmanTable(lengths).decode(damaged, symbols.size, offsets, sync)
             return
-        out = HuffmanTable(lengths).decode(damaged, symbols.size, offsets, sync)
+        else:
+            out = HuffmanTable(lengths).decode(damaged, symbols.size, offsets, sync)
+        finally:
+            huffman._CHASE_SLAB = original
         assert out.dtype == np.int32
         assert np.array_equal(out, expected)
         if not flips and not cut:
             assert np.array_equal(out, symbols)
+
+
+class TestDecoderMemory:
+    def test_run_parse_literal_block_temporaries_are_bounded(self, monkeypatch):
+        # The largest Huffman block of a run-parse msg_sppm record: ~276K
+        # literals in a 215 KiB stream.  The decoder's temporaries are the
+        # stream's 17 bytes per byte (the stream, its windows, the per-bit
+        # length table) and cache-sized slabs; a steps x blocks position
+        # matrix (8 bytes per symbol) would break the bound.
+        import tracemalloc
+
+        from repro.core.primacy import PrimacyCompressor, PrimacyConfig
+        from repro.datasets import generate_bytes
+
+        config = PrimacyConfig(chunk_bytes=1 << 20)
+        data = generate_bytes("msg_sppm", 131072, seed=2014)
+        rle = get_codec("pyzlib", strategy="rle")
+        record = PrimacyCompressor(config, codec=rle).compress_chunk(data)[0]
+        blocks = []
+        decode = HuffmanTable.decode
+
+        def spy(table, *args):
+            blocks.append((table, args))
+            return decode(table, *args)
+
+        monkeypatch.setattr(HuffmanTable, "decode", spy)
+        assert PrimacyCompressor(config).decompress_chunk(record)[0] == data
+        monkeypatch.undo()
+        table, (stream, n_symbols, offsets, sync) = max(
+            blocks, key=lambda block: block[1][1]
+        )
+        assert n_symbols > 250_000
+        tracemalloc.start()
+        try:
+            out = table.decode(stream, n_symbols, offsets, sync)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == n_symbols
+        assert peak < 17 * len(stream) + out.nbytes + (3 << 19)
 
 
 class TestTruncatedStreams:

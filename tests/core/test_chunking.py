@@ -40,14 +40,6 @@ class TestChunker:
         chunker = Chunker(chunk_bytes=70, word_bytes=8)
         assert chunker.chunk_bytes == 64
 
-    def test_n_chunks(self):
-        chunker = Chunker(chunk_bytes=64, word_bytes=8)
-        assert chunker.n_chunks(0) == 0
-        assert chunker.n_chunks(64) == 1
-        assert chunker.n_chunks(65) == 1  # the odd byte is tail, not a chunk
-        assert chunker.n_chunks(72) == 2
-        assert chunker.n_chunks(128) == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Chunker(chunk_bytes=4, word_bytes=8)

@@ -37,7 +37,7 @@ from repro.core.kernels import (
     raw_matrix,
 )
 from repro.core.linearize import Linearization, column_linearize, row_linearize
-from repro.core.primacy import iter_container_records, parse_container_header
+from repro.core.primacy import split_container
 
 from tests.oracles import reference_apply, reference_decode_chunk, reference_id_stream
 
@@ -116,9 +116,7 @@ def _assert_container_matches_oracle(data: bytes, config: PrimacyConfig):
     """
     comp, spy = _spied(config)
     container, stats = comp.compress(data)
-    records = list(
-        iter_container_records(container, parse_container_header(container))
-    )
+    records = split_container(container)[1]
     assert len(records) == len(stats.chunks)
     inline = [bool(record[0] & 0x01) for record in records]
     if inline and config.index_policy is not IndexReusePolicy.CORRELATED:

@@ -16,7 +16,7 @@ from repro.core import (
     PrimacyConfig,
 )
 from repro.core.linearize import Linearization
-from repro.core.primacy import iter_container_records, parse_container_header
+from repro.core.primacy import parse_container_header, split_container
 from repro.datasets import generate_bytes
 
 
@@ -199,7 +199,7 @@ class TestContainerIntegrity:
         header = parse_container_header(out)
         damaged = out[: header.records_pos] + prefix
         with pytest.raises(error) as err:
-            list(iter_container_records(damaged, header))
+            split_container(damaged)
         assert type(err.value) is error
         assert err.value.region == "chunk[0]"
 

@@ -24,7 +24,7 @@ from repro.checkpoint import CheckpointReader, CheckpointWriter
 from repro.compressors import CodecError
 from repro.core import PrimacyCompressor, PrimacyConfig
 from repro.datasets import generate_bytes
-from repro.parallel import ParallelDecompressor
+from repro.parallel import ParallelCompressor
 from repro.storage import PrimacyFileReader, PrimacyFileWriter, fsck, salvage_prif
 
 from tests.faults.injector import (
@@ -154,7 +154,7 @@ class TestParallelFaults:
         cfg = PrimacyConfig(chunk_bytes=2048, checksum=True)
         blob, _ = PrimacyCompressor(cfg).compress(payload)
         stride = max(1, len(blob) // 40)
-        with ParallelDecompressor(cfg, workers=2) as dec:
+        with ParallelCompressor(cfg, workers=2) as dec:
             assert dec.decompress(blob) == payload  # pool sanity
             for offset, damaged in iter_byte_flips(blob, stride=stride):
                 try:

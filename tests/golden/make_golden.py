@@ -98,12 +98,13 @@ def planned_payload_bytes() -> bytes:
 
 def build_planned(payload: bytes) -> tuple[bytes, list[str]]:
     """The planned container of ``payload`` and the planner's decisions."""
+    from repro.parallel import ParallelCompressor
     from repro.planner.candidates import PlannerConfig
-    from repro.planner.compressor import PlannedCompressor
 
-    with PlannedCompressor(PlannerConfig(base=PLANNED_CONFIG), workers=1) as planned:
+    planner = PlannerConfig(base=PLANNED_CONFIG)
+    with ParallelCompressor(planner=planner, workers=1) as planned:
         container, _ = planned.compress(payload)
-        return container, [d.candidate.label for d in planned.last_decisions]
+        return container, [d.candidate.label for d in planned.decisions]
 
 
 def build_prif(path: Path) -> None:

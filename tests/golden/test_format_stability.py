@@ -104,15 +104,13 @@ class TestPlannedGolden:
         assert PrimacyCompressor().decompress(container) == planned_payload
 
     def test_records_keep_the_pinned_decisions(self):
-        from repro.core.primacy import iter_container_records, parse_container_header
+        from repro.core.primacy import split_container
         from repro.planner.candidates import Candidate
         from repro.planner.record import is_planned_record, parse_planned_header
 
         container = gold.PLANNED_PATH.read_bytes()
         labels = []
-        for record in iter_container_records(
-            container, parse_container_header(container)
-        ):
+        for record in split_container(container)[1]:
             assert is_planned_record(record)
             codec, high_bytes, linearization, _ = parse_planned_header(record)
             labels.append(Candidate(codec, high_bytes, linearization).label)
@@ -189,10 +187,10 @@ class TestMebibyteDigests:
         assert digest == self.PYBZIP
 
     def test_planned_digest(self, inputs):
+        from repro.parallel import ParallelCompressor
         from repro.planner.candidates import PlannerConfig
-        from repro.planner.compressor import PlannedCompressor
 
         config = PlannerConfig(base=self._config())
-        with PlannedCompressor(config, workers=1) as planned:
+        with ParallelCompressor(planner=config, workers=1) as planned:
             blob = b"".join(planned.compress(data)[0] for data in inputs)
         assert hashlib.sha256(blob).hexdigest() == self.PLANNED

@@ -101,15 +101,13 @@ class TestEngineIntegration:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         from repro.core.primacy import PrimacyConfig
         from repro.parallel.pool import ParallelCompressor
-        from repro.parallel.decompress import ParallelDecompressor
 
         cfg = PrimacyConfig(chunk_bytes=16 * 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("error", SanitizeLeakWarning)
             with ParallelCompressor(cfg, workers=2) as comp:
                 out, _ = comp.compress(payload)
-            with ParallelDecompressor(cfg, workers=2) as dec:
-                assert dec.decompress(out) == payload
+                assert comp.decompress(out) == payload
         assert sanitize.ledger().live_segments() == []
         assert sanitize.ledger().live_views() == []
 

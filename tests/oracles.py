@@ -36,7 +36,7 @@ from repro.compressors.base import (
 from repro.core.bytesplit import split_bytes, values_to_byte_matrix
 from repro.core.idmap import FrequencyIndex, IdMapper
 from repro.core.linearize import Linearization
-from repro.core.primacy import _CHUNK_FLAG_INLINE_INDEX, PrimacyConfig
+from repro.core.primacy import PrimacyConfig
 from repro.isobar import IsobarPartitioner
 from repro.isobar.bitplane import BitplanePartitioner
 from repro.util.checksum import adler32
@@ -198,7 +198,7 @@ def reference_decode_chunk(
     flags = record[0]
     pos = 1
     n_values, pos = decode_uvarint(record, pos)
-    if flags & _CHUNK_FLAG_INLINE_INDEX:
+    if flags & 0x01:  # the record carries its own index (docs/FORMATS.md)
         index, pos = FrequencyIndex.deserialize(record, pos)
     else:
         if current_index is None:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.primacy import PrimacyCompressor, PrimacyConfig
-from repro.parallel import ParallelCompressor, ParallelDecompressor
+from repro.parallel import ParallelCompressor
 from repro.storage import PrimacyFileWriter
 
 CFG = PrimacyConfig(chunk_bytes=16 * 1024)
@@ -63,6 +63,6 @@ class TestDecompressDeterminism:
     def test_serial_and_parallel_decode_agree(self, payload):
         archive, _ = PrimacyCompressor(CFG).compress(payload)
         serial = PrimacyCompressor(CFG).decompress(archive)
-        with ParallelDecompressor(workers=2) as dec:
+        with ParallelCompressor(workers=2) as dec:
             parallel = dec.decompress(archive)
         assert serial == parallel == payload

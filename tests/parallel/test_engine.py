@@ -21,12 +21,7 @@ from multiprocessing.shared_memory import SharedMemory
 from repro.core import IndexReusePolicy, PrimacyCompressor, PrimacyConfig
 from repro.core.linearize import Linearization
 from repro.datasets import generate_bytes
-from repro.parallel import (
-    EngineError,
-    ParallelCompressor,
-    ParallelDecompressor,
-    ParallelEngine,
-)
+from repro.parallel import EngineError, ParallelCompressor, ParallelEngine
 from repro.parallel.engine import KIND_COMPRESS, KIND_DECOMPRESS
 
 
@@ -54,7 +49,7 @@ def _serial_reference(config: PrimacyConfig, data: bytes) -> bytes:
 
 class TestByteIdentityGrid:
     """Parallel output must equal serial output bit for bit, and round
-    trip through the parallel decompressor, across the codec /
+    trip through the parallel decoder, across the codec /
     linearization / checksum / worker-count grid."""
 
     @pytest.mark.parametrize("codec", ["pyzlib", "pylzo", "huffman"])
@@ -75,10 +70,9 @@ class TestByteIdentityGrid:
         serial = _serial_reference(cfg, grid_payload)
         with ParallelCompressor(cfg, workers=workers) as comp:
             out, stats = comp.compress(grid_payload)
+            assert comp.decompress(out) == grid_payload
         assert out == serial
         assert stats.original_bytes == len(grid_payload)
-        with ParallelDecompressor(cfg, workers=workers) as dec:
-            assert dec.decompress(out) == grid_payload
 
 
 class TestEnginePersistence:
@@ -110,31 +104,11 @@ class TestEnginePersistence:
         cfg = PrimacyConfig(chunk_bytes=16 * 1024)
         with ParallelEngine(cfg, workers=2) as engine:
             comp = ParallelCompressor(engine=engine)
-            dec = ParallelDecompressor(engine=engine)
             out, _ = comp.compress(payload)
-            assert dec.decompress(out) == payload
+            assert comp.decompress(out) == payload
             # Shared engines are not closed by their borrowers.
             comp.close()
-            dec.close()
             assert engine.started
-
-    def test_compress_iter_matches_compress(self, payload):
-        cfg = PrimacyConfig(chunk_bytes=16 * 1024)
-        with ParallelCompressor(cfg, workers=2) as comp:
-            whole, _ = comp.compress(payload)
-            records = [rec for rec, _ in comp.compress_iter(payload)]
-        serial_records = []
-        serial = PrimacyCompressor(cfg)
-        chunks, _ = serial._chunker.split(payload)
-        for chunk in chunks:
-            serial_records.append(serial.compress_chunk(chunk.data)[0])
-        assert records == serial_records
-        # Every record appears in the container, in order.
-        pos = 0
-        for rec in records:
-            found = whole.find(rec, pos)
-            assert found >= 0
-            pos = found + len(rec)
 
 
 class TestZeroCopyInputs:
@@ -298,13 +272,15 @@ class TestCrashSafety:
 
 
 class TestParallelDecompressor:
+    """Container decoding through :meth:`ParallelCompressor.decompress`."""
+
     def test_serial_fallback_for_reuse_chains(self, payload):
         cfg = PrimacyConfig(
             chunk_bytes=16 * 1024,
             index_policy=IndexReusePolicy.FIRST_CHUNK,
         )
         container = PrimacyCompressor(cfg).compress(payload)[0]
-        with ParallelDecompressor(workers=2) as dec:
+        with ParallelCompressor(workers=2) as dec:
             assert dec.decompress(container) == payload
             # The chain forced the serial path: no pool was started.
             assert not dec.engine.started
@@ -319,14 +295,29 @@ class TestParallelDecompressor:
             checksum=False,
         )
         container = PrimacyCompressor(cfg).compress(payload)[0]
-        with ParallelDecompressor(workers=2) as dec:
+        with ParallelCompressor(workers=2) as dec:
             assert dec.decompress(container) == payload
+
+    def test_empty_record_raises_typed(self, payload):
+        from repro.compressors import TruncationError
+        from repro.core.primacy import split_container
+        from repro.util.varint import encode_uvarint
+
+        container = PrimacyCompressor(
+            PrimacyConfig(chunk_bytes=16 * 1024)
+        ).compress(payload)[0]
+        header, records, _ = split_container(container)
+        damaged = container[: header.records_pos] + encode_uvarint(0)
+        damaged += b"".join(encode_uvarint(len(r)) + r for r in records[1:])
+        with ParallelCompressor(workers=2) as dec:
+            with pytest.raises(TruncationError, match="empty chunk record"):
+                dec.decompress(damaged)
 
     def test_empty_and_tiny_inputs(self):
         cfg = PrimacyConfig(chunk_bytes=16 * 1024)
         for data in (b"", b"\x01", os.urandom(64)):
             container = PrimacyCompressor(cfg).compress(data)[0]
-            with ParallelDecompressor(workers=2) as dec:
+            with ParallelCompressor(workers=2) as dec:
                 assert dec.decompress(container) == data
 
 

@@ -1,12 +1,12 @@
-"""PlannedCompressor: container round-trips and reproducibility."""
+"""ParallelCompressor(planner=...): planned container round-trips and
+reproducibility."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.primacy import PrimacyCompressor
-from repro.parallel import ParallelDecompressor
-from repro.planner import PlannedCompressor
+from repro.core.primacy import PrimacyCompressor, split_container
+from repro.parallel import ParallelCompressor
 
 
 class TestRoundTrip:
@@ -15,7 +15,7 @@ class TestRoundTrip:
     ):
         # The whole point of self-describing records: a stock
         # PrimacyCompressor with no planner state restores the bytes.
-        with PlannedCompressor(planner_config, workers=1) as pc:
+        with ParallelCompressor(planner=planner_config, workers=1) as pc:
             blob, stats = pc.compress(mixed_bytes)
         assert PrimacyCompressor().decompress(blob) == mixed_bytes
         assert stats.original_bytes == len(mixed_bytes)
@@ -24,15 +24,19 @@ class TestRoundTrip:
     def test_parallel_decompressor_reads_planned_container(
         self, mixed_bytes, planner_config
     ):
-        with PlannedCompressor(planner_config, workers=1) as pc:
+        with ParallelCompressor(planner=planner_config, workers=1) as pc:
             blob, _ = pc.compress(mixed_bytes)
-        with ParallelDecompressor(workers=2) as dec:
+        # Planned records carry their own index, so the records decode
+        # independently, in the workers.
+        assert split_container(blob)[2]
+        with ParallelCompressor(workers=2) as dec:
             assert dec.decompress(blob) == mixed_bytes
+            assert dec.engine.stats.tasks == len(split_container(blob)[1])
 
     def test_decisions_cover_every_chunk(self, mixed_bytes, planner_config):
-        with PlannedCompressor(planner_config, workers=1) as pc:
+        with ParallelCompressor(planner=planner_config, workers=1) as pc:
             _, stats = pc.compress(mixed_bytes)
-            decisions = pc.last_decisions
+            decisions = pc.decisions
         assert len(decisions) == len(stats.chunks)
         assert all(
             d.n_candidates == len(planner_config.candidates)
@@ -40,7 +44,7 @@ class TestRoundTrip:
         )
 
     def test_empty_and_tail_only_inputs(self, planner_config):
-        with PlannedCompressor(planner_config, workers=1) as pc:
+        with ParallelCompressor(planner=planner_config, workers=1) as pc:
             for payload in (b"", b"abc"):
                 blob, _ = pc.compress(payload)
                 assert PrimacyCompressor().decompress(blob) == payload
@@ -48,21 +52,21 @@ class TestRoundTrip:
 
 class TestReproducibility:
     def test_byte_identical_across_runs(self, mixed_bytes, planner_config):
-        with PlannedCompressor(planner_config, workers=1) as pc:
+        with ParallelCompressor(planner=planner_config, workers=1) as pc:
             one, _ = pc.compress(mixed_bytes)
-        with PlannedCompressor(planner_config, workers=1) as pc:
+        with ParallelCompressor(planner=planner_config, workers=1) as pc:
             two, _ = pc.compress(mixed_bytes)
         assert one == two
 
     def test_byte_identical_across_worker_counts(
         self, mixed_bytes, planner_config
     ):
-        with PlannedCompressor(planner_config, workers=1) as serial:
+        with ParallelCompressor(planner=planner_config, workers=1) as serial:
             expect, _ = serial.compress(mixed_bytes)
-            serial_decisions = serial.last_decisions
-        with PlannedCompressor(planner_config, workers=2) as parallel:
+            serial_decisions = serial.decisions
+        with ParallelCompressor(planner=planner_config, workers=2) as parallel:
             got, _ = parallel.compress(mixed_bytes)
-            parallel_decisions = parallel.last_decisions
+            parallel_decisions = parallel.decisions
         assert got == expect
         assert [d.candidate for d in parallel_decisions] == [
             d.candidate for d in serial_decisions
@@ -77,6 +81,8 @@ class TestReproducibility:
         engine = ParallelEngine(planner_config.base, workers=1)
         try:
             with pytest.raises(ValueError):
-                PlannedCompressor(planner_config, workers=3, engine=engine)
+                ParallelCompressor(
+                    planner=planner_config, workers=3, engine=engine
+                )
         finally:
             engine.close()

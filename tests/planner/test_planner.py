@@ -295,16 +295,16 @@ class TestRunParseCandidate:
         assert stats.total_in == len(chunk)
 
     def test_same_decisions_and_records_across_worker_counts(self):
-        from repro.planner import PlannedCompressor
+        from repro.parallel import ParallelCompressor
 
         data = self._num_plasma(3)
         cfg = PlannerConfig(base=PrimacyConfig(chunk_bytes=64 * 1024))
-        with PlannedCompressor(cfg, workers=1) as serial:
+        with ParallelCompressor(planner=cfg, workers=1) as serial:
             expect, _ = serial.compress(data)
-            serial_decisions = serial.last_decisions
-        with PlannedCompressor(cfg, workers=2) as parallel:
+            serial_decisions = serial.decisions
+        with ParallelCompressor(planner=cfg, workers=2) as parallel:
             got, _ = parallel.compress(data)
-            parallel_decisions = parallel.last_decisions
+            parallel_decisions = parallel.decisions
         assert [d.candidate for d in serial_decisions] == [self.RLE] * 3
         assert got == expect
         assert [d.candidate for d in parallel_decisions] == [

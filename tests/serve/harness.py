@@ -117,15 +117,12 @@ def reference_compress(
     theta_milli: int = 4000,
 ) -> bytes:
     """The container the one-shot CLI path would produce for ``payload``."""
+    planner = None
     if auto:
         from repro.planner.candidates import PlannerConfig
-        from repro.planner.compressor import PlannedCompressor
 
-        planned = PlannedCompressor(
-            PlannerConfig(base=base, network_mbps=theta_milli / 1000.0),
-            workers=1,
-        )
-        with planned:
-            return planned.compress(payload)[0]
-    with ParallelCompressor(base, workers=1) as pool:
+        planner = PlannerConfig(base=base, network_mbps=theta_milli / 1000.0)
+    with ParallelCompressor(
+        None if auto else base, workers=1, planner=planner
+    ) as pool:
         return pool.compress(payload)[0]

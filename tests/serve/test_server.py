@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.compressors.lzrw import LzrwCodec
-from repro.core.primacy import PrimacyCompressor
+from repro.core.primacy import PrimacyCompressor, split_container
 from repro.serve.daemon import ServeConfig
 from repro.serve.protocol import (
     Op,
@@ -93,6 +93,21 @@ def test_corrupt_container_is_typed_corrupt(server, payload):
         with pytest.raises(ServeError) as err:
             client.decompress(bytes(container))
     assert err.value.status is Status.CORRUPT
+
+
+def test_empty_record_is_typed_corrupt(server, payload):
+    # An empty record has no flags byte to say whether it carries its
+    # own index; the reply must still be a typed CORRUPT.
+    with server.client() as client:
+        container = client.compress(payload, config=RC)
+        header, records, _ = split_container(container)
+        assert len(records) > 1
+        damaged = container[: header.records_pos] + encode_uvarint(0)
+        damaged += b"".join(encode_uvarint(len(r)) + r for r in records[1:])
+        with pytest.raises(ServeError) as err:
+            client.decompress(damaged)
+        assert err.value.status is Status.CORRUPT
+        assert client.decompress(container) == payload
 
 
 def test_pylzo_stream_claiming_too_much_is_corrupt(server, payload, monkeypatch):

@@ -126,6 +126,14 @@ class TestWriter:
         with pytest.raises(ValueError, match="PER_CHUNK"):
             ShardedArchiveWriter(tmp_path / "arc", config, shards=2)
 
+    def test_refused_before_any_file(self, tmp_path):
+        # Shards and the catalog embed the PRIF header, which cannot
+        # record bit-plane ISOBAR: not even the directory is made.
+        config = PrimacyConfig(chunk_bytes=8 * 1024, isobar_granularity="bit")
+        with pytest.raises(ValueError, match="isobar_granularity"):
+            ShardedArchiveWriter(tmp_path / "arc", config, shards=2)
+        assert list(tmp_path.iterdir()) == []
+
     def test_refuses_sealed_directory(self, tmp_path, payload, config):
         _pack(tmp_path / "arc", payload, config)
         with pytest.raises(ValueError, match="sealed"):

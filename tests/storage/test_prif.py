@@ -132,6 +132,21 @@ class TestRoundtrip:
         with PrimacyFileReader(path) as reader:
             assert reader.read_all() == payload
 
+    @pytest.mark.parametrize(
+        "config, workers, match",
+        [
+            # The PRIF header cannot record bit-plane ISOBAR: such a file
+            # would not read back.
+            (PrimacyConfig(isobar_granularity="bit"), None, "isobar_granularity"),
+            (PrimacyConfig(index_policy=IndexReusePolicy.FIRST_CHUNK), 2, "PER_CHUNK"),
+        ],
+        ids=["bit-isobar", "pipelined-reuse-chain"],
+    )
+    def test_refused_before_any_file(self, tmp_path, config, workers, match):
+        with pytest.raises(ValueError, match=match):
+            PrimacyFileWriter(tmp_path / "data.prif", config, workers=workers)
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_after_close_rejected(self):
         w = PrimacyFileWriter(io.BytesIO())
         w.close()
